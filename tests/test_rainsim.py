@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy import integrate, stats
+from scipy.spatial import cKDTree
 
 from derainkit import (
     RainConfig,
@@ -16,7 +17,8 @@ from derainkit import (
 )
 from derainkit.core import RAIN
 from derainkit.errors import DegenerateBoundsError, NonPositiveRateError
-from derainkit.rainsim import diameter_cdf
+from derainkit.pgm import beam_directions
+from derainkit.rainsim import beam_field_bounds, cumulative_hazard, diameter_cdf, drop_moments
 
 
 def test_lambda_values():
@@ -152,3 +154,176 @@ def test_empirical_concentration_matches_expected():
     bounds = ([0, 0, 0], [1.0, 1.0, 1.0])
     counts = [len(sample_drop_field(RainConfig(rate=10, seed=s), bounds)) for s in range(100)]
     assert np.mean(counts) == pytest.approx(expected_drop_concentration(config), rel=0.03)
+
+
+# ------------------------------------------------ per-beam hit distribution
+
+def beam_limits(grid, calib):
+    return np.where(grid.unreturned, calib.r_max, grid.ranges).reshape(-1)
+
+
+def first_hit_cdf(ranges, limits, r_min, config):
+    """F_b(t) = (1 - exp(-Lambda(t))) / (1 - exp(-Lambda(L_b))) per hit.
+
+    Uniform(0, 1) for the first drop hit on beam b conditioned on one before L_b.
+    """
+    hit = cumulative_hazard(ranges, r_min, config)
+    return -np.expm1(-hit) / -np.expm1(-cumulative_hazard(limits, r_min, config))
+
+
+def hit_cdf_values(rainy, rlabels, grid, calib, config):
+    """first_hit_cdf of every rain return inject_rain wrote."""
+    rained = rlabels.labels == RAIN
+    return first_hit_cdf(rainy.ranges.reshape(-1)[rained], beam_limits(grid, calib)[rained],
+                         calib.r_min, config)
+
+
+def expected_rained(grid, calib, config):
+    return float(-np.expm1(-cumulative_hazard(beam_limits(grid, calib), calib.r_min,
+                                              config)).sum())
+
+
+def oracle_first_hits(grid, calib, config):
+    """First drop hit of every beam from an explicit drop field.
+
+    Every drop that could hit any beam is tested with intersect_beam's
+    geometry: a hit needs sin(angle to the axis) <= d_max/2000/r_min +
+    tan(divergence), so a ball query over beam directions at that angle
+    returns a superset of each drop's hit beams.
+    """
+    field = sample_drop_field(config, beam_field_bounds(calib))
+    norms = np.linalg.norm(field.centers, axis=1)
+    near = norms >= calib.r_min
+    centers, radii, norms = field.centers[near], field.diameters[near] / 2000.0, norms[near]
+    tan_div = np.tan(config.beam_divergence)
+    max_angle = np.arcsin(min(1.0, config.d_max / 2000.0 / calib.r_min + tan_div)) * 1.001
+    dirs = beam_directions(calib).reshape(-1, 3)
+    tree, k = cKDTree(dirs), 4
+    while True:  # widen until every drop has fewer than k candidate beams
+        dist, beam = tree.query(centers / norms[:, None], k=k,
+                                distance_upper_bound=2 * np.sin(max_angle / 2))
+        if np.isinf(dist[:, -1]).all():
+            break
+        k *= 2
+    drop, slot = np.nonzero(np.isfinite(dist))
+    beam = beam[drop, slot]
+    t = np.einsum("ij,ij->i", centers[drop], dirs[beam])
+    perp = np.linalg.norm(centers[drop] - t[:, None] * dirs[beam], axis=1)
+    limits = beam_limits(grid, calib)
+    hit = ((t > 0) & (perp <= radii[drop] + t * tan_div)
+           & (t >= calib.r_min) & (t < limits[beam]))
+    first = np.full(dirs.shape[0], np.inf)
+    np.minimum.at(first, beam[hit], t[hit])
+    return first
+
+
+def test_oracle_matches_intersect_beam():
+    # beams 2-4 mrad apart in a dense field: most drops are candidates for several beams
+    calib = SensorCalibration(np.linspace(-0.004, 0.004, 3), np.linspace(-0.004, 0.004, 5),
+                              r_max=2.0, r_min=0.5)
+    grid, labels = raycast_scene(builtin_scene("rehearse-like"), calib, 0.0)
+    config = RainConfig(rate=50.0, n0=8e6, seed=2)
+    first = oracle_first_hits(grid, calib, config)
+    field = sample_drop_field(config, beam_field_bounds(calib))
+    dirs = beam_directions(calib).reshape(-1, 3)
+    limits = beam_limits(grid, calib)
+    for b, d in enumerate(dirs):
+        ts = [t for drop in field
+              if (t := intersect_beam([0, 0, 0], d, drop, config.beam_divergence)) is not None
+              and calib.r_min <= t < limits[b]]
+        assert first[b] == (min(ts) if ts else np.inf)
+    assert np.isfinite(first).sum() >= 10
+
+
+def test_drop_field_oracle_follows_hazard():
+    """The analytic first-hit law against explicit drop fields, 16x64 / 8 m."""
+    calib = SensorCalibration(np.linspace(-0.42, 0.03, 16), np.linspace(-0.7, 0.7, 64),
+                              r_max=8.0, r_min=0.5, sensor_height=2.0)
+    grid, labels = raycast_scene(builtin_scene("rehearse-like"), calib, 0.0)
+    limits = beam_limits(grid, calib)
+    cdf_values, counts = [], []
+    for seed in range(10):
+        config = RainConfig(rate=50.0, seed=seed)
+        first = oracle_first_hits(grid, calib, config)
+        rained = np.isfinite(first)
+        counts.append(rained.sum())
+        cdf_values.append(first_hit_cdf(first[rained], limits[rained], calib.r_min, config))
+    expected = expected_rained(grid, calib, RainConfig(rate=50.0))
+    assert np.mean(counts) == pytest.approx(expected, rel=0.03)
+    assert stats.kstest(np.concatenate(cdf_values), "uniform").statistic < 0.02
+
+
+def test_dense_grid_hits_follow_hazard():
+    """8x2048 beams closer than a drop diameter plus footprint apart at short range.
+
+    A nearest-cell stencil misses hits here; per-beam sampling must not.
+    """
+    calib = SensorCalibration(np.linspace(-0.42, 0.03, 8), np.linspace(-0.7, 0.7, 2048),
+                              r_max=3.0, r_min=0.5, sensor_height=2.0)
+    grid, labels = raycast_scene(builtin_scene("rehearse-like"), calib, 0.0)
+    cdf_values, counts = [], []
+    for seed in range(5):
+        config = RainConfig(rate=50.0, seed=seed)
+        rainy, rlabels = inject_rain(grid, labels, calib, config)
+        counts.append(int((rlabels.labels == RAIN).sum()))
+        cdf_values.append(hit_cdf_values(rainy, rlabels, grid, calib, config))
+    expected = expected_rained(grid, calib, RainConfig(rate=50.0))
+    assert expected == pytest.approx(1287, abs=1)
+    assert np.mean(counts) == pytest.approx(expected, rel=0.03)
+    assert stats.kstest(np.concatenate(cdf_values), "uniform").statistic < 0.02
+
+
+# ------------------------------------------------ hazard and edge calibrations
+
+def test_hazard_matches_drop_field_quadrature():
+    config = RainConfig(rate=25.0, beam_divergence=5e-3)
+    lam = marshall_palmer_lambda(config.rate)
+    r_min, limit = 0.5, 12.0
+
+    def cross_section(d, t):  # drops per m^3 per mm times the hit area in m^2
+        return config.n0 * np.exp(-lam * d) * np.pi * (d / 2000.0 + t * np.tan(5e-3)) ** 2
+
+    numeric, _ = integrate.dblquad(cross_section, r_min, limit, config.d_min, config.d_max,
+                                   epsabs=0, epsrel=1e-10)
+    assert cumulative_hazard(limit, r_min, config) == pytest.approx(numeric, rel=1e-8)
+    assert cumulative_hazard(r_min, r_min, config) == 0.0
+    for p, moment in enumerate(drop_moments(config)):
+        numeric, _ = integrate.quad(lambda d: config.n0 * np.exp(-lam * d) * (d / 2000.0) ** p,
+                                    config.d_min, config.d_max, epsabs=0, epsrel=1e-12)
+        assert moment == pytest.approx(numeric, rel=1e-10)
+
+
+def test_inject_single_beam_calibration():
+    # a single beam spans a zero-volume drop-field box; per-beam sampling still rains
+    calib = SensorCalibration([-0.1], [0.0], r_max=10.0, r_min=0.5)
+    grid, labels = raycast_scene(builtin_scene("rehearse-like"), calib, 0.0)
+    assert len(sample_drop_field(RainConfig(rate=50.0), beam_field_bounds(calib))) == 0
+    limit = beam_limits(grid, calib)[0]
+    ranges = []
+    for seed in range(1000):
+        rainy, rlabels = inject_rain(grid, labels, calib, RainConfig(rate=50.0, seed=seed))
+        if rlabels.labels[0] == RAIN:
+            ranges.append(rainy.ranges[0, 0])
+            assert np.allclose(rainy.coords[0, 0], beam_directions(calib)[0, 0] * ranges[-1])
+    ranges = np.array(ranges)
+    reach = cumulative_hazard(limit, calib.r_min, RainConfig(rate=50.0))
+    assert len(ranges) / 1000 == pytest.approx(-np.expm1(-reach), abs=0.03)
+    assert ((ranges >= calib.r_min) & (ranges < limit)).all()
+
+
+def test_inject_zero_min_range():
+    calib = SensorCalibration(np.linspace(-0.4, 0.05, 12), np.linspace(-0.6, 0.6, 32),
+                              r_max=10.0, r_min=0.0, sensor_height=2.0)
+    grid, labels = raycast_scene(builtin_scene("rehearse-like"), calib, 0.0)
+    cdf_values, counts = [], []
+    for seed in range(20):
+        config = RainConfig(rate=50.0, seed=seed)
+        rainy, rlabels = inject_rain(grid, labels, calib, config)
+        rained = rlabels.labels == RAIN
+        hits = rainy.ranges.reshape(-1)[rained]
+        assert ((hits > 0) & (hits < beam_limits(grid, calib)[rained])).all()
+        counts.append(rained.sum())
+        cdf_values.append(hit_cdf_values(rainy, rlabels, grid, calib, config))
+    assert np.mean(counts) == pytest.approx(expected_rained(grid, calib, RainConfig(rate=50.0)),
+                                            rel=0.05)
+    assert stats.kstest(np.concatenate(cdf_values), "uniform").statistic < 0.03
