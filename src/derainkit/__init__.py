@@ -43,6 +43,7 @@ from .annotate import (
     RansacConfig,
     annotation_scene_from_spec,
     auto_annotate,
+    brute_force_transfer,
     point_in_polygon,
     ransac_plane,
     transfer_labels,

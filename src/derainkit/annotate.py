@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .core import BACKGROUND, RAIN, ROAD, SPRINKLER, LabelSet, PointCloud, validate_cloud
 from .errors import (
@@ -165,13 +166,7 @@ def auto_annotate(
     return LabelSet(labels)
 
 
-def transfer_labels(src_cloud: PointCloud, src_labels: LabelSet,
-                    dst_cloud: PointCloud) -> LabelSet:
-    """Give each destination point the label of its nearest source point.
-
-    Exact distance ties resolve to the lowest source index, which is what a
-    first-occurrence argmin over squared distances gives.
-    """
+def _check_transfer(src_cloud: PointCloud, src_labels: LabelSet, dst_cloud: PointCloud) -> None:
     validate_cloud(src_cloud)
     validate_cloud(dst_cloud)
     if src_cloud.count == 0:
@@ -180,11 +175,40 @@ def transfer_labels(src_cloud: PointCloud, src_labels: LabelSet,
         raise EmptySourceError(
             f"source labels ({src_labels.count}) do not match cloud ({src_cloud.count})"
         )
-    out = np.empty(dst_cloud.count, dtype=np.int32)
-    chunk = max(1, 2_000_000 // max(1, src_cloud.count))
-    for start in range(0, dst_cloud.count, chunk):
-        block = dst_cloud.coords[start:start + chunk]
-        diff = block[:, None, :] - src_cloud.coords[None, :, :]
-        nearest = np.argmin((diff ** 2).sum(axis=2), axis=1)
-        out[start:start + chunk] = src_labels.labels[nearest]
-    return LabelSet(out)
+
+
+def _argmin_nearest(dst: np.ndarray, src: np.ndarray) -> np.ndarray:
+    """First-occurrence argmin of squared distances, in blocks of ~2M pairs."""
+    out = np.empty(dst.shape[0], dtype=np.intp)
+    chunk = max(1, 2_000_000 // max(1, src.shape[0]))
+    for start in range(0, dst.shape[0], chunk):
+        diff = dst[start:start + chunk, None, :] - src[None, :, :]
+        out[start:start + chunk] = np.argmin((diff ** 2).sum(axis=2), axis=1)
+    return out
+
+
+def transfer_labels(src_cloud: PointCloud, src_labels: LabelSet,
+                    dst_cloud: PointCloud) -> LabelSet:
+    """Give each destination point the label of its nearest source point.
+
+    One kd-tree query over the source, O((N + M) log N) for N source and M
+    destination points. Exact distance ties resolve to the lowest source
+    index: rows whose two nearest distances lie within rounding of each other
+    are redone with the first-occurrence argmin of ``brute_force_transfer``,
+    so the result equals that oracle bit for bit.
+    """
+    _check_transfer(src_cloud, src_labels, dst_cloud)
+    src, dst = src_cloud.coords, dst_cloud.coords
+    dist, nearest = cKDTree(src).query(dst, k=2)
+    # A one-point source has d2 = inf, so every row is redone against it.
+    tied = dist[:, 1] - dist[:, 0] <= 1e-9 * (1.0 + dist[:, 1])
+    nearest = nearest[:, 0]
+    nearest[tied] = _argmin_nearest(dst[tied], src)
+    return LabelSet(src_labels.labels[nearest])
+
+
+def brute_force_transfer(src_cloud: PointCloud, src_labels: LabelSet,
+                         dst_cloud: PointCloud) -> LabelSet:
+    """Exhaustive O(N * M) oracle for ``transfer_labels`` with the same contract."""
+    _check_transfer(src_cloud, src_labels, dst_cloud)
+    return LabelSet(src_labels.labels[_argmin_nearest(dst_cloud.coords, src_cloud.coords)])

@@ -4,8 +4,6 @@ Subcommands: scene, simulate, derain, annotate, transfer, eval, tune, bench.
 All randomness flows from a single --seed flag; per-stage seeds are derived
 by hashing (seed, stage name) so one knob reproduces everything. Exit codes:
 0 success, 1 validated-input failure, 2 usage error.
-
-Inlier masks are stored as one byte per point, 1 = keep (.mask files).
 """
 from __future__ import annotations
 
@@ -13,8 +11,6 @@ import argparse
 import hashlib
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import fileio
 from .annotate import RansacConfig, auto_annotate, transfer_labels
@@ -62,14 +58,6 @@ def _load_calibration(path: str | None):
     return fileio.read_calibration_json(_read_path(path).decode())
 
 
-def write_mask(mask: np.ndarray) -> bytes:
-    return np.asarray(mask, dtype=bool).astype("u1").tobytes()
-
-
-def read_mask(data: bytes) -> np.ndarray:
-    return np.frombuffer(data, dtype="u1").astype(bool)
-
-
 # ---------------------------------------------------------------- subcommands
 
 def _cmd_scene(args) -> int:
@@ -109,7 +97,7 @@ def _cmd_derain(args) -> int:
     params = fileio.read_filter_params_json(_read_path(args.filter).decode())
     keep = apply_filter(cloud, params)
     if args.mask:
-        Path(args.mask).write_bytes(write_mask(keep))
+        Path(args.mask).write_bytes(fileio.write_mask(keep))
     if args.out:
         filtered = type(cloud)(cloud.coords[keep], cloud.intensity[keep])
         Path(args.out).write_bytes(fileio.write_cloud(filtered))
@@ -142,7 +130,7 @@ def _cmd_eval(args) -> int:
         raise CliError(f"{len(args.pred)} prediction masks vs {len(args.gt)} label files")
     pooled = ConfusionCounts(0, 0, 0, 0)
     for pred_path, gt_path in zip(args.pred, args.gt):
-        keep = read_mask(_read_path(pred_path))
+        keep = fileio.read_mask(_read_path(pred_path))
         labels = fileio.read_labels(_read_path(gt_path))
         if keep.shape[0] != labels.count:
             raise CliError(f"mask {pred_path} ({keep.shape[0]}) vs labels {gt_path} ({labels.count})")

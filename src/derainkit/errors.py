@@ -101,6 +101,12 @@ class InvalidClassError(DerainKitError):
         super().__init__(f"invalid class id at index {self.index}")
 
 
+class InvalidMaskByteError(DerainKitError):
+    def __init__(self, index):
+        self.index = int(index)
+        super().__init__(f"mask byte other than 0 or 1 at index {self.index}")
+
+
 class SchemaError(DerainKitError):
     def __init__(self, path, message=""):
         self.path = path

@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import RAIN, ConfusionCounts, LabelSet
 from .errors import EmptyDatasetError, EmptySearchSpaceError, LengthMismatchError
-from .filters import Dror, Dsor, FilterParams, Ror, Sor, apply_filter
+from .filters import Dror, Dsor, FilterParams, Ror, Sor, apply_filter, build_index
 
 
 @dataclass(frozen=True)
@@ -139,10 +139,17 @@ def _sample_params(kind: str, space: dict, rng: np.random.Generator) -> FilterPa
     return _PARAM_CLASSES[kind](**values)
 
 
-def pooled_f1(dataset, params: FilterParams) -> float:
+def pooled_f1(dataset, params: FilterParams, indexes=None) -> float:
+    """Pooled rain-class F1 of one filter over (cloud, labels) pairs.
+
+    ``indexes`` optionally gives one prebuilt ``SpatialIndex`` per cloud, in
+    dataset order; the result is the same as without them.
+    """
+    dataset = list(dataset)
+    indexes = [None] * len(dataset) if indexes is None else indexes
     pooled = ConfusionCounts(0, 0, 0, 0)
-    for cloud, labels in dataset:
-        pooled = pooled + confusion(~apply_filter(cloud, params), labels)
+    for (cloud, labels), index in zip(dataset, indexes, strict=True):
+        pooled = pooled + confusion(~apply_filter(cloud, params, index), labels)
     return derive_metrics(pooled).f1
 
 
@@ -158,7 +165,9 @@ def tune_filter(
 
     Draws up to n_samples (cloud, labels) pairs without replacement, then
     evaluates n_trials independently sampled parameter vectors; ties keep the
-    earliest trial. Fully determined by seed.
+    earliest trial. Fully determined by seed. Each sampled cloud gets one
+    spatial index, shared by every trial; for a search space over k it is
+    warmed once at the largest k, so SOR/DSOR trials only slice its kNN table.
     """
     dataset = list(dataset)
     if not dataset:
@@ -175,12 +184,18 @@ def tune_filter(
     take = min(n_samples, len(dataset))
     subset_idx = rng.choice(len(dataset), size=take, replace=False)
     subset = [dataset[i] for i in subset_idx]
+    indexes = [build_index(cloud) for cloud, _ in subset]
+    if "k" in space:
+        k_max = int(space["k"][2])
+        for index in indexes:
+            if index.count > k_max:
+                index.knn_mean_dists(k_max)
 
     best_params = None
     best_f1 = -1.0
     for _ in range(n_trials):
         params = _sample_params(kind, space, rng)
-        score = pooled_f1(subset, params)
+        score = pooled_f1(subset, params, indexes)
         if score > best_f1:
             best_f1 = score
             best_params = params

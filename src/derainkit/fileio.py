@@ -2,6 +2,7 @@
 
 .bin    little-endian float32 quadruplets (x, y, z, intensity), 16 B/point
 .label  little-endian uint32 per point, low 16 bits class id, high 16 reserved
+.mask   one byte per point, 1 = keep, 0 = removed; any other byte is an error
 .json   scenes, calibrations, rain configs, filter params
 .csv    benchmark results, percent values at 2 decimals, integer ms
 
@@ -17,6 +18,7 @@ import numpy as np
 from .core import NUM_CLASSES, LabelSet, PointCloud, SensorCalibration
 from .errors import (
     InvalidClassError,
+    InvalidMaskByteError,
     NonFiniteCoordinateError,
     SchemaError,
     TruncatedFileError,
@@ -63,6 +65,18 @@ def read_labels(data: bytes) -> LabelSet:
     return LabelSet(raw.astype(np.int32))
 
 
+def write_mask(mask: np.ndarray) -> bytes:
+    return np.asarray(mask, dtype=bool).astype("u1").tobytes()
+
+
+def read_mask(data: bytes) -> np.ndarray:
+    raw = np.frombuffer(data, dtype="u1")
+    valid = raw <= 1
+    if not valid.all():
+        raise InvalidMaskByteError(int(np.argmin(valid)))
+    return raw.astype(bool)
+
+
 # ---------------------------------------------------------------- json helpers
 
 def _get(obj, key, path, kind=None):
@@ -79,6 +93,16 @@ def _number(obj, key, path) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{path}/{key}", "expected number")
     return float(value)
+
+
+def _integer(obj, key, path) -> int:
+    """An integral JSON number; 3.0 reads as 3, 2.7 is an error, never truncated."""
+    value = _get(obj, key, path)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SchemaError(f"{path}/{key}", "expected integer")
+    return value
 
 
 def _vector(obj, key, path, length) -> list:
@@ -100,7 +124,7 @@ def _parse_box(obj, path) -> OrientedBox:
         center=_vector(obj, "center", path, 3),
         half_extents=_vector(obj, "half_extents", path, 3),
         yaw=_number(obj, "yaw", path),
-        class_id=int(_number(obj, "class_id", path)),
+        class_id=_integer(obj, "class_id", path),
         reflectance=_number(obj, "reflectance", path),
     )
 
@@ -235,7 +259,7 @@ def read_rain_config_json(text: str) -> RainConfig:
         n0=_number(obj, "n0", ""),
         beam_divergence=_number(obj, "beam_divergence", ""),
         rain_reflectance=_number(obj, "rain_reflectance", ""),
-        seed=int(_number(obj, "seed", "")),
+        seed=_integer(obj, "seed", ""),
     )
 
 
@@ -264,10 +288,8 @@ def read_filter_params_json(text: str) -> FilterParams:
     if kind not in _FILTER_FIELDS:
         raise SchemaError("/kind", f"unknown filter kind {kind!r}")
     cls, fields = _FILTER_FIELDS[kind]
-    values = {}
-    for name in fields:
-        value = _number(obj, name, "")
-        values[name] = int(value) if name in _INT_FIELDS else value
+    values = {name: (_integer if name in _INT_FIELDS else _number)(obj, name, "")
+              for name in fields}
     return cls(**values)
 
 

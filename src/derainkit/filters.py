@@ -86,7 +86,9 @@ class SpatialIndex:
     """kd-tree over a cloud answering radius counts and kNN mean distances.
 
     Query results match exhaustive search exactly; the query point itself is
-    excluded from both counts and neighbor distances.
+    excluded from both counts and neighbor distances. The widest kNN distance
+    table computed so far (n x k_max float64) is cached, so a query for any
+    k <= k_max is a slice of it and only a larger k queries the tree again.
     """
 
     def __init__(self, cloud: PointCloud):
@@ -94,6 +96,7 @@ class SpatialIndex:
         self.coords = cloud.coords
         self.count = cloud.count
         self._tree = cKDTree(cloud.coords) if cloud.count else None
+        self._knn_dists = np.empty((self.count, 0))
 
     def _require_points(self):
         if self._tree is None:
@@ -111,12 +114,14 @@ class SpatialIndex:
         self._require_points()
         if self.count < k + 1:
             raise TooFewPointsError(f"need at least {k + 1} points, have {self.count}")
-        _, idx = self._tree.query(self.coords, k=k + 1)
-        # Recompute distances with the same numpy expression the brute-force
-        # oracle uses so the two paths agree bit-for-bit.
-        neighbors = self.coords[idx[:, 1:]]
-        diff = neighbors - self.coords[:, None, :]
-        return np.sqrt((diff ** 2).sum(axis=2)).mean(axis=1)
+        if k > self._knn_dists.shape[1]:
+            _, idx = self._tree.query(self.coords, k=k + 1)
+            # Recompute distances with the same numpy expression the brute-force
+            # oracle uses so the two paths agree bit-for-bit.
+            neighbors = self.coords[idx[:, 1:]]
+            diff = neighbors - self.coords[:, None, :]
+            self._knn_dists = np.sqrt((diff ** 2).sum(axis=2))
+        return self._knn_dists[:, :k].mean(axis=1)
 
 
 def build_index(cloud: PointCloud) -> SpatialIndex:
@@ -135,6 +140,8 @@ def ror(cloud: PointCloud, params: Ror, index: SpatialIndex | None = None) -> np
 
 
 def sor(cloud: PointCloud, params: Sor, index: SpatialIndex | None = None) -> np.ndarray:
+    if cloud.count == 0:
+        return np.zeros(0, dtype=bool)
     index = index or build_index(cloud)
     d = index.knn_mean_dists(params.k)
     threshold = d.mean() + params.s * d.std()
@@ -150,6 +157,8 @@ def dror(cloud: PointCloud, params: Dror, index: SpatialIndex | None = None) -> 
 
 
 def dsor(cloud: PointCloud, params: Dsor, index: SpatialIndex | None = None) -> np.ndarray:
+    if cloud.count == 0:
+        return np.zeros(0, dtype=bool)
     index = index or build_index(cloud)
     d = index.knn_mean_dists(params.k)
     global_threshold = d.mean() + params.s * d.std()

@@ -8,6 +8,7 @@ from derainkit import (
     RansacConfig,
     annotation_scene_from_spec,
     auto_annotate,
+    brute_force_transfer,
     builtin_scene,
     point_in_polygon,
     ransac_plane,
@@ -170,3 +171,41 @@ def test_transfer_empty_source():
     from derainkit.core import empty_cloud
     with pytest.raises(EmptySourceError):
         transfer_labels(empty_cloud(), LabelSet([]), PointCloud([[0, 0, 0]], [0.1]))
+
+
+def rounded_transfer_case(seed, decimals):
+    """Rounded coordinates (many exact distance ties) and duplicated source points.
+
+    The destination mixes fresh rounded points with copies of source points
+    that occur more than once, so coincident nearest neighbours are common.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 300))
+    coords = np.round(rng.uniform(-2, 2, (n, 3)), decimals)
+    coords = np.vstack([coords, coords[rng.integers(0, n, n // 2)]])
+    src = PointCloud(coords[rng.permutation(len(coords))], np.full(len(coords), 0.5))
+    labels = LabelSet(rng.integers(0, 8, src.count))
+    m = int(rng.integers(1, 200))
+    fresh = np.round(rng.uniform(-2.5, 2.5, (m, 3)), decimals)
+    dst_coords = np.vstack([fresh, src.coords[rng.integers(0, src.count, m)]])
+    return src, labels, PointCloud(dst_coords, np.full(len(dst_coords), 0.5))
+
+
+@pytest.mark.parametrize("decimals", [0, 1, 2])
+def test_transfer_equals_brute_force_on_ties(decimals):
+    for seed in range(70):
+        src, labels, dst = rounded_transfer_case(seed, decimals)
+        np.testing.assert_array_equal(transfer_labels(src, labels, dst).labels,
+                                      brute_force_transfer(src, labels, dst).labels)
+
+
+def test_transfer_single_source_point_and_empty_destination():
+    src = PointCloud([[1.0, 2.0, 3.0]], [0.5])
+    dst = PointCloud(np.random.default_rng(3).normal(size=(40, 3)), np.full(40, 0.5))
+    out = transfer_labels(src, LabelSet([RAIN]), dst)
+    assert (out.labels == RAIN).all()
+    np.testing.assert_array_equal(out.labels, brute_force_transfer(src, LabelSet([RAIN]), dst).labels)
+    from derainkit.core import empty_cloud
+    empty = transfer_labels(src, LabelSet([RAIN]), empty_cloud())
+    assert empty.count == 0
+    assert brute_force_transfer(src, LabelSet([RAIN]), empty_cloud()).count == 0

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 
 from derainkit import fileio
-from derainkit.cli import read_mask, run, stage_seed, write_mask
+from derainkit.cli import run, stage_seed
 
 
 def file_hashes(root: Path) -> dict:
@@ -45,11 +45,6 @@ def test_stage_seed_distinct():
     assert stage_seed(7, "rain") == stage_seed(7, "rain")
 
 
-def test_mask_round_trip():
-    mask = np.array([True, False, True])
-    np.testing.assert_array_equal(read_mask(write_mask(mask)), mask)
-
-
 def simulate(tmp_path, name, seed="7", extra=()):
     out = tmp_path / name
     args = ["simulate", "--scene", "minimal", "--rate", "10", "--seed", seed,
@@ -86,7 +81,7 @@ def test_full_pipeline_through_cli(tmp_path, capsys):
     filtered = tmp_path / "filtered.bin"
     assert run(["derain", "--in", str(out / "rainy.bin"), "--filter", str(params),
                 "--mask", str(mask), "--out", str(filtered)]) == 0
-    keep = read_mask(mask.read_bytes())
+    keep = fileio.read_mask(mask.read_bytes())
     cloud = fileio.read_cloud((out / "rainy.bin").read_bytes())
     assert keep.shape[0] == cloud.count
     assert fileio.read_cloud(filtered.read_bytes()).count == int(keep.sum())

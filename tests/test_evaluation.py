@@ -15,7 +15,8 @@ from derainkit import (
 )
 from derainkit.core import RAIN
 from derainkit.errors import EmptyDatasetError, LengthMismatchError
-from derainkit.evaluation import DEFAULT_PARAMS, pooled_f1
+from derainkit.evaluation import DEFAULT_PARAMS, DEFAULT_SEARCH_SPACES, _sample_params, pooled_f1
+from derainkit.filters import build_index
 
 
 def test_confusion_perfect_prediction():
@@ -156,3 +157,23 @@ def test_tuned_beats_or_matches_default():
     data = pairs(rain_dataset(5, seed=9))
     _, tuned = tune_filter("dsor", data, n_samples=5, n_trials=30, seed=17)
     assert tuned >= pooled_f1(data, DEFAULT_PARAMS["dsor"])
+
+
+@pytest.mark.parametrize("kind", ["ror", "sor", "dror", "dsor"])
+def test_shared_indexes_change_no_trial(kind):
+    """Every trial tune_filter draws scores the same with its shared indexes."""
+    data = pairs(rain_dataset(4, seed=10))
+    seed, n_samples, n_trials = 21, 3, 40
+    params, f1 = tune_filter(kind, data, n_samples=n_samples, n_trials=n_trials, seed=seed)
+
+    rng = np.random.default_rng(seed)
+    subset = [data[i] for i in rng.choice(len(data), size=n_samples, replace=False)]
+    indexes = [build_index(cloud) for cloud, _ in subset]
+    best = (None, -1.0)
+    for _ in range(n_trials):
+        trial = _sample_params(kind, DEFAULT_SEARCH_SPACES[kind], rng)
+        score = pooled_f1(subset, trial)
+        assert pooled_f1(subset, trial, indexes) == score
+        if score > best[1]:
+            best = (trial, score)
+    assert (params, f1) == best

@@ -7,6 +7,7 @@ from derainkit.annotate import annotation_scene_from_spec
 from derainkit.core import empty_cloud
 from derainkit.errors import (
     InvalidClassError,
+    InvalidMaskByteError,
     NonFiniteCoordinateError,
     SchemaError,
     TruncatedFileError,
@@ -74,6 +75,20 @@ def test_labels_truncated():
         fileio.read_labels(b"\x00\x01\x02")
 
 
+def test_mask_round_trip():
+    for mask in (np.array([True, False, True]), np.zeros(0, dtype=bool)):
+        data = fileio.write_mask(mask)
+        assert len(data) == mask.size
+        np.testing.assert_array_equal(fileio.read_mask(data), mask)
+
+
+def test_mask_stray_byte_rejected():
+    for data, index in ((bytes([1, 0, 7]), 2), (bytes([0xFF, 1]), 0), (b"\x01\x02", 1)):
+        with pytest.raises(InvalidMaskByteError) as err:
+            fileio.read_mask(data)
+        assert err.value.index == index
+
+
 def test_scene_json_round_trip():
     for name in ("minimal", "corridor", "rehearse-like"):
         spec = builtin_scene(name)
@@ -128,6 +143,33 @@ def test_filter_params_json_round_trip():
         assert back == params
 
 
+def test_filter_params_integer_fields_reject_fractions():
+    for kind, extra, field in (("sor", '"s": 1.0', "k"), ("ror", '"radius": 0.5', "min_neighbors"),
+                               ("dror", '"alpha": 0.01, "beta": 3.0, "sr_min": 0.04', "k_min")):
+        head = f'{{"kind": "{kind}", {extra}, "{field}": '
+        with pytest.raises(SchemaError) as err:
+            fileio.read_filter_params_json(head + "2.7}")
+        assert err.value.path == f"/{field}"
+        for bad in ("true", '"3"', "NaN", "Infinity"):
+            with pytest.raises(SchemaError):
+                fileio.read_filter_params_json(head + bad + "}")
+        value = getattr(fileio.read_filter_params_json(head + "3.0}"), field)
+        assert value == 3 and isinstance(value, int)
+
+
+def test_box_class_and_rain_seed_reject_fractions():
+    text = fileio.write_scene_json(builtin_scene("corridor"))
+    with pytest.raises(SchemaError) as err:
+        fileio.read_scene_json(text.replace('"class_id": 7', '"class_id": 7.5', 1))
+    assert err.value.path == "/boxes/0/class_id"
+    rain = fileio.write_rain_config_json(RainConfig(rate=25.0, seed=7))
+    with pytest.raises(SchemaError):
+        fileio.read_rain_config_json(rain.replace('"seed": 7', '"seed": 7.5'))
+    # integers are taken as written, not through a float
+    big = fileio.read_rain_config_json(rain.replace('"seed": 7', f'"seed": {2 ** 63 + 1}'))
+    assert big.seed == 2 ** 63 + 1
+
+
 def test_filter_params_unknown_kind():
     with pytest.raises(SchemaError):
         fileio.read_filter_params_json('{"kind": "magic"}')
@@ -162,8 +204,9 @@ def test_readers_survive_fuzzed_bytes():
     rng = np.random.default_rng(1)
     for _ in range(50):
         blob = rng.integers(0, 256, int(rng.integers(0, 200)), dtype=np.uint8).tobytes()
-        for reader in (fileio.read_cloud, fileio.read_labels):
+        for reader in (fileio.read_cloud, fileio.read_labels, fileio.read_mask):
             try:
                 reader(blob)
-            except (TruncatedFileError, InvalidClassError, NonFiniteCoordinateError):
+            except (TruncatedFileError, InvalidClassError, NonFiniteCoordinateError,
+                    InvalidMaskByteError):
                 pass

@@ -7,6 +7,7 @@ from derainkit import (
     PointCloud,
     Ror,
     Sor,
+    apply_filter,
     brute_force_mask,
     build_index,
     dror,
@@ -27,6 +28,29 @@ def test_index_empty_cloud_queries_error():
     index = build_index(empty_cloud())
     with pytest.raises(EmptyIndexError):
         index.radius_counts(1.0)
+
+
+def test_empty_cloud_gives_empty_mask_for_every_filter():
+    for params in (Ror(1.0, 1), Sor(5, 1.0), Dror(0.01, 3.0, 3, 0.04), Dsor(5, 1.0, 0.05)):
+        keep = apply_filter(empty_cloud(), params)
+        assert keep.dtype == bool
+        np.testing.assert_array_equal(keep, brute_force_mask(empty_cloud(), params))
+        assert keep.shape == (0,)
+
+
+def test_knn_table_matches_fresh_query():
+    """Cached kNN means equal a fresh index's, whatever k was asked first."""
+    ks = range(1, 31)
+    for seed in range(10):
+        for decimals in (0, 1, 2):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(40, 200))
+            cloud = PointCloud(np.round(rng.uniform(-3, 3, (n, 3)), decimals), np.full(n, 0.5))
+            fresh = {k: build_index(cloud).knn_mean_dists(k) for k in ks}
+            for order in (ks, reversed(ks)):
+                index = build_index(cloud)
+                for k in order:
+                    np.testing.assert_array_equal(index.knn_mean_dists(k), fresh[k])
 
 
 def test_index_single_point_self_excluded():
