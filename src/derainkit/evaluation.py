@@ -118,6 +118,8 @@ DEFAULT_SEARCH_SPACES = {
 }
 
 _PARAM_CLASSES = {"ror": Ror, "sor": Sor, "dror": Dror, "dsor": Dsor}
+# The field that sets how many columns of a cloud's kNN table a trial reads.
+_NEIGHBOR_COUNT_FIELDS = {"ror": "min_neighbors", "sor": "k", "dror": "k_min", "dsor": "k"}
 
 DEFAULT_PARAMS = {
     "ror": Ror(radius=0.5, min_neighbors=5),
@@ -166,8 +168,9 @@ def tune_filter(
     Draws up to n_samples (cloud, labels) pairs without replacement, then
     evaluates n_trials independently sampled parameter vectors; ties keep the
     earliest trial. Fully determined by seed. Each sampled cloud gets one
-    spatial index, shared by every trial; for a search space over k it is
-    warmed once at the largest k, so SOR/DSOR trials only slice its kNN table.
+    spatial index, shared by every trial, and is warmed once at the search
+    space's largest neighbor count (k, min_neighbors or k_min), so every trial
+    only reads its kNN table.
     """
     dataset = list(dataset)
     if not dataset:
@@ -185,11 +188,12 @@ def tune_filter(
     subset_idx = rng.choice(len(dataset), size=take, replace=False)
     subset = [dataset[i] for i in subset_idx]
     indexes = [build_index(cloud) for cloud, _ in subset]
-    if "k" in space:
-        k_max = int(space["k"][2])
+    count_field = _NEIGHBOR_COUNT_FIELDS[kind]
+    if count_field in space:
+        k_max = int(space[count_field][2])
         for index in indexes:
-            if index.count > k_max:
-                index.knn_mean_dists(k_max)
+            if index.count:
+                index.knn_dists(k_max)
 
     best_params = None
     best_f1 = -1.0

@@ -15,11 +15,10 @@ import json
 
 import numpy as np
 
-from .core import NUM_CLASSES, LabelSet, PointCloud, SensorCalibration
+from .core import NUM_CLASSES, LabelSet, PointCloud, SensorCalibration, validate_cloud
 from .errors import (
     InvalidClassError,
     InvalidMaskByteError,
-    NonFiniteCoordinateError,
     SchemaError,
     TruncatedFileError,
 )
@@ -45,10 +44,9 @@ def read_cloud(data: bytes) -> PointCloud:
     if len(data) % 16 != 0:
         raise TruncatedFileError(f"cloud file length {len(data)} is not a multiple of 16")
     quads = np.frombuffer(data, dtype="<f4").reshape(-1, 4).astype(np.float64)
-    finite = np.isfinite(quads[:, :3]).all(axis=1)
-    if not finite.all():
-        raise NonFiniteCoordinateError(int(np.argmin(finite)))
-    return PointCloud(quads[:, :3], quads[:, 3])
+    cloud = PointCloud(quads[:, :3], quads[:, 3])
+    validate_cloud(cloud)
+    return cloud
 
 
 def write_labels(labels: LabelSet) -> bytes:
@@ -105,10 +103,12 @@ def _integer(obj, key, path) -> int:
     return value
 
 
-def _vector(obj, key, path, length) -> list:
+def _vector(obj, key, path, length=None) -> list:
+    """A list of JSON numbers, of the given length if one is given."""
     value = _get(obj, key, path, list)
-    if len(value) != length or not all(isinstance(x, (int, float)) for x in value):
-        raise SchemaError(f"{path}/{key}", f"expected {length} numbers")
+    if ((length is not None and len(value) != length)
+            or not all(isinstance(x, (int, float)) for x in value)):
+        raise SchemaError(f"{path}/{key}", f"expected {length or 'a list of'} numbers")
     return [float(x) for x in value]
 
 
@@ -224,11 +224,9 @@ def write_calibration_json(calib: SensorCalibration) -> str:
 
 def read_calibration_json(text: str) -> SensorCalibration:
     obj = _parse_json(text)
-    elevations = _get(obj, "elevations", "", list)
-    azimuths = _get(obj, "azimuths", "", list)
     return SensorCalibration(
-        elevations=np.asarray(elevations, dtype=np.float64),
-        azimuths=np.asarray(azimuths, dtype=np.float64),
+        elevations=np.asarray(_vector(obj, "elevations", ""), dtype=np.float64),
+        azimuths=np.asarray(_vector(obj, "azimuths", ""), dtype=np.float64),
         r_max=_number(obj, "r_max", ""),
         r_min=_number(obj, "r_min", ""),
         sensor_height=_number(obj, "sensor_height", ""),

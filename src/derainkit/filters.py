@@ -5,9 +5,19 @@ the fast kd-tree path and the exhaustive brute-force oracle agree exactly:
 neighbor counts exclude the query point, distances exactly on a radius or
 threshold boundary count as "within" (keep side), and SOR/DSOR use the
 population standard deviation.
+
+All four filters read one table per cloud: each point's sorted distances to
+its nearest neighbors. SOR/DSOR average a prefix of a row. ROR/DROR use the
+order statistic: a point has at least m neighbors within r exactly when its
+m-th nearest-neighbor distance is <= r, so they compare one column of the
+table with the radius (m = 0 keeps every point). The table's distances come
+from the oracle's own numpy expression, so boundary cases agree bit for bit.
+Radii must be finite: past a cloud's n - 1 neighbors the table holds +inf,
+which an infinite radius would count as a neighbor.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -28,8 +38,8 @@ class Ror:
     min_neighbors: int
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise InvalidInputError("radius must be positive")
+        if not 0 < self.radius < math.inf:
+            raise InvalidInputError("radius must be positive and finite")
         if self.min_neighbors < 0:
             raise InvalidInputError("min_neighbors must be non-negative")
 
@@ -58,10 +68,10 @@ class Dror:
     sr_min: float
 
     def __post_init__(self):
-        if not self.alpha > 0 or not self.beta > 0:
-            raise InvalidInputError("alpha and beta must be positive")
-        if self.k_min < 0 or self.sr_min < 0:
-            raise InvalidInputError("k_min and sr_min must be non-negative")
+        if not (0 < self.alpha < math.inf and 0 < self.beta < math.inf):
+            raise InvalidInputError("alpha and beta must be positive and finite")
+        if self.k_min < 0 or not 0 <= self.sr_min < math.inf:
+            raise InvalidInputError("k_min and sr_min must be non-negative, sr_min finite")
 
 
 @dataclass(frozen=True)
@@ -83,12 +93,14 @@ FilterParams = Union[Ror, Sor, Dror, Dsor]
 
 
 class SpatialIndex:
-    """kd-tree over a cloud answering radius counts and kNN mean distances.
+    """kd-tree over a cloud answering kNN distance tables and radius counts.
 
     Query results match exhaustive search exactly; the query point itself is
     excluded from both counts and neighbor distances. The widest kNN distance
-    table computed so far (n x k_max float64) is cached, so a query for any
-    k <= k_max is a slice of it and only a larger k queries the tree again.
+    table computed so far (n x k_max float64, 8*n*k_max bytes) is cached, so a
+    query for any k <= k_max is a slice of it and only a larger k queries the
+    tree again. Each row is sorted ascending and holds +inf past the cloud's
+    n - 1 neighbors.
     """
 
     def __init__(self, cloud: PointCloud):
@@ -109,19 +121,30 @@ class SpatialIndex:
                                              return_length=True)
         return np.asarray(counts) - 1  # boundary inclusive; self sits at distance 0
 
+    def knn_dists(self, k: int) -> np.ndarray:
+        """n x k distances to each point's k nearest neighbors (self excluded), rows ascending.
+
+        Columns past the cloud's n - 1 neighbors hold +inf.
+        """
+        self._require_points()
+        if k > self._knn_dists.shape[1]:
+            width = min(k + 1, self.count)
+            _, idx = self._tree.query(self.coords, k=width)
+            # Recompute distances with the same numpy expression the brute-force
+            # oracle uses, in its sorted order, so the two paths agree bit-for-bit.
+            neighbors = self.coords[idx.reshape(self.count, width)[:, 1:]]
+            diff = neighbors - self.coords[:, None, :]
+            dists = np.sort(np.sqrt((diff ** 2).sum(axis=2)), axis=1)
+            self._knn_dists = np.pad(dists, ((0, 0), (0, k + 1 - width)),
+                                     constant_values=np.inf)
+        return self._knn_dists[:, :k]
+
     def knn_mean_dists(self, k: int) -> np.ndarray:
         """Mean distance of each point to its k nearest neighbors (self excluded)."""
         self._require_points()
         if self.count < k + 1:
             raise TooFewPointsError(f"need at least {k + 1} points, have {self.count}")
-        if k > self._knn_dists.shape[1]:
-            _, idx = self._tree.query(self.coords, k=k + 1)
-            # Recompute distances with the same numpy expression the brute-force
-            # oracle uses so the two paths agree bit-for-bit.
-            neighbors = self.coords[idx[:, 1:]]
-            diff = neighbors - self.coords[:, None, :]
-            self._knn_dists = np.sqrt((diff ** 2).sum(axis=2))
-        return self._knn_dists[:, :k].mean(axis=1)
+        return self.knn_dists(k).mean(axis=1)
 
 
 def build_index(cloud: PointCloud) -> SpatialIndex:
@@ -132,11 +155,18 @@ def _point_ranges(cloud: PointCloud) -> np.ndarray:
     return np.linalg.norm(cloud.coords, axis=1)
 
 
+def _has_neighbors(cloud: PointCloud, m: int, radii, index: SpatialIndex | None) -> np.ndarray:
+    """At least m neighbors within radii: the m-th nearest-neighbor distance is <= radii."""
+    if m == 0:
+        return np.ones(cloud.count, dtype=bool)
+    index = index or build_index(cloud)
+    return index.knn_dists(m)[:, m - 1] <= radii
+
+
 def ror(cloud: PointCloud, params: Ror, index: SpatialIndex | None = None) -> np.ndarray:
     if cloud.count == 0:
         return np.zeros(0, dtype=bool)
-    index = index or build_index(cloud)
-    return index.radius_counts(params.radius) >= params.min_neighbors
+    return _has_neighbors(cloud, params.min_neighbors, params.radius, index)
 
 
 def sor(cloud: PointCloud, params: Sor, index: SpatialIndex | None = None) -> np.ndarray:
@@ -151,9 +181,8 @@ def sor(cloud: PointCloud, params: Sor, index: SpatialIndex | None = None) -> np
 def dror(cloud: PointCloud, params: Dror, index: SpatialIndex | None = None) -> np.ndarray:
     if cloud.count == 0:
         return np.zeros(0, dtype=bool)
-    index = index or build_index(cloud)
     sr = np.maximum(params.sr_min, params.beta * params.alpha * _point_ranges(cloud))
-    return index.radius_counts(sr) >= params.k_min
+    return _has_neighbors(cloud, params.k_min, sr, index)
 
 
 def dsor(cloud: PointCloud, params: Dsor, index: SpatialIndex | None = None) -> np.ndarray:

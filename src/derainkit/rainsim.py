@@ -122,11 +122,8 @@ def expected_drop_concentration(config: RainConfig) -> float:
     return drop_moments(config)[0]
 
 
-def cumulative_hazard(ranges, r_min: float, config: RainConfig):
-    """Expected number of drops hitting one beam between r_min and each range.
-
-    This is Lambda(t) of the module docstring; it is the same for every beam.
-    """
+def _hazard(r_min: float, config: RainConfig):
+    """Lambda(t) as a function of range, with its coefficients computed once."""
     m0, m1, m2 = drop_moments(config)
     tan = math.tan(config.beam_divergence)
     a, b = m0 * tan * tan / 3, m1 * tan
@@ -134,7 +131,16 @@ def cumulative_hazard(ranges, r_min: float, config: RainConfig):
     def from_origin(t):  # hazard accumulated from range 0, in Horner form
         return math.pi * t * (m2 + t * (b + t * a))
 
-    return from_origin(np.asarray(ranges, dtype=np.float64)) - from_origin(r_min)
+    at_r_min = from_origin(r_min)
+    return lambda ranges: from_origin(np.asarray(ranges, dtype=np.float64)) - at_r_min
+
+
+def cumulative_hazard(ranges, r_min: float, config: RainConfig):
+    """Expected number of drops hitting one beam between r_min and each range.
+
+    This is Lambda(t) of the module docstring; it is the same for every beam.
+    """
+    return _hazard(r_min, config)(ranges)
 
 
 def diameter_cdf(diameters, config: RainConfig):
@@ -223,7 +229,8 @@ def inject_rain(
     limits = np.where(pgm.unreturned, calib.r_max, pgm.ranges if occlude_returns else -np.inf)
     limits = np.maximum(limits.reshape(-1), calib.r_min)
     draws = np.random.Generator(np.random.Philox(key=config.seed)).standard_exponential(v * h)
-    idx = np.flatnonzero(draws < cumulative_hazard(limits, calib.r_min, config))
+    hazard = _hazard(calib.r_min, config)
+    idx = np.flatnonzero(draws < hazard(limits))
 
     # Lambda is increasing, so bisection keeps Lambda(lo) <= E < Lambda(hi);
     # 60 halvings shrink [r_min, L) below double precision.
@@ -232,7 +239,7 @@ def inject_rain(
     hi = limits[idx]
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        below = cumulative_hazard(mid, calib.r_min, config) <= target
+        below = hazard(mid) <= target
         np.copyto(lo, mid, where=below)
         np.copyto(hi, mid, where=~below)
 

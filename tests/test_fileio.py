@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from derainkit import fileio
 from derainkit.annotate import annotation_scene_from_spec
 from derainkit.core import empty_cloud
 from derainkit.errors import (
+    IntensityOutOfRangeError,
     InvalidClassError,
     InvalidMaskByteError,
     NonFiniteCoordinateError,
@@ -42,6 +45,16 @@ def test_cloud_nonfinite_rejected():
     bad = np.array([[np.nan, 0, 0, 0.5]], dtype="<f4").tobytes()
     with pytest.raises(NonFiniteCoordinateError):
         fileio.read_cloud(bad)
+
+
+def test_cloud_intensity_out_of_range_rejected():
+    for intensity, index in (([0.5, 5.0], 1), ([-0.1, 0.5], 0), ([1.0, np.nan], 1),
+                             ([0.0, np.inf], 1)):
+        quads = np.zeros((2, 4), dtype="<f4")
+        quads[:, 3] = intensity
+        with pytest.raises(IntensityOutOfRangeError) as err:
+            fileio.read_cloud(quads.tobytes())
+        assert err.value.index == index
 
 
 def test_cloud_round_trip_random_bit_exact():
@@ -131,6 +144,16 @@ def test_calibration_json_round_trip():
     assert back.r_max == calib.r_max and back.sensor_height == calib.sensor_height
 
 
+def test_calibration_json_non_number_angle_is_schema_error():
+    text = fileio.write_calibration_json(grid_calibration(2, 3))
+    obj = json.loads(text)
+    for key, bad in (("elevations", ["a"]), ("azimuths", [0.1, None]),
+                     ("elevations", [[0.1], [0.2]]), ("azimuths", "0.1")):
+        with pytest.raises(SchemaError) as err:
+            fileio.read_calibration_json(json.dumps({**obj, key: bad}))
+        assert err.value.path == f"/{key}"
+
+
 def test_rain_config_json_round_trip():
     config = RainConfig(rate=25.0, seed=7)
     back = fileio.read_rain_config_json(fileio.write_rain_config_json(config))
@@ -208,5 +231,5 @@ def test_readers_survive_fuzzed_bytes():
             try:
                 reader(blob)
             except (TruncatedFileError, InvalidClassError, NonFiniteCoordinateError,
-                    InvalidMaskByteError):
+                    IntensityOutOfRangeError, InvalidMaskByteError):
                 pass

@@ -16,7 +16,12 @@ from derainkit import (
     sor,
 )
 from derainkit.core import empty_cloud
-from derainkit.errors import EmptyIndexError, TooFewPointsError, TooLargeError
+from derainkit.errors import (
+    EmptyIndexError,
+    InvalidInputError,
+    TooFewPointsError,
+    TooLargeError,
+)
 
 
 def random_cloud(n, seed, spread=5.0):
@@ -38,19 +43,80 @@ def test_empty_cloud_gives_empty_mask_for_every_filter():
         assert keep.shape == (0,)
 
 
+def tied_cloud(seed, decimals):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(40, 200))
+    return PointCloud(np.round(rng.uniform(-3, 3, (n, 3)), decimals), np.full(n, 0.5))
+
+
 def test_knn_table_matches_fresh_query():
     """Cached kNN means equal a fresh index's, whatever k was asked first."""
     ks = range(1, 31)
     for seed in range(10):
         for decimals in (0, 1, 2):
-            rng = np.random.default_rng(seed)
-            n = int(rng.integers(40, 200))
-            cloud = PointCloud(np.round(rng.uniform(-3, 3, (n, 3)), decimals), np.full(n, 0.5))
+            cloud = tied_cloud(seed, decimals)
             fresh = {k: build_index(cloud).knn_mean_dists(k) for k in ks}
             for order in (ks, reversed(ks)):
                 index = build_index(cloud)
                 for k in order:
                     np.testing.assert_array_equal(index.knn_mean_dists(k), fresh[k])
+
+
+def test_knn_table_sorted_padded_and_counts_radius():
+    """Rows ascend, pad with inf past n - 1, and column m - 1 answers radius counts."""
+    ms = range(1, 21)
+    for seed in range(10):
+        for decimals in (0, 1, 2):
+            cloud = tied_cloud(seed, decimals)
+            dist = np.sqrt(((cloud.coords[:, None] - cloud.coords[None]) ** 2).sum(axis=2))
+            levels = np.unique(dist)
+            gaps = np.flatnonzero(np.diff(levels) > 1e-6)
+            rng = np.random.default_rng(seed)
+            # midway between two distinct pairwise distances: on no boundary
+            radii = [(levels[i] + levels[i + 1]) / 2 for i in rng.choice(gaps, 3)]
+            counts = {r: build_index(cloud).radius_counts(r) for r in radii}
+            fresh = {m: build_index(cloud).knn_dists(m) for m in ms}
+            for order in (ms, reversed(ms)):
+                index = build_index(cloud)
+                for m in order:
+                    table = index.knn_dists(m)
+                    np.testing.assert_array_equal(table, fresh[m])
+                    assert (np.diff(table, axis=1) >= 0).all()
+                    for r in radii:
+                        np.testing.assert_array_equal(table[:, m - 1] <= r, counts[r] >= m)
+    for n in range(1, 6):
+        table = build_index(random_cloud(n, n)).knn_dists(8)
+        assert table.shape == (n, 8)
+        assert np.isfinite(table[:, :n - 1]).all() and np.isinf(table[:, n - 1:]).all()
+        assert not ror(random_cloud(n, n), Ror(100.0, n)).any()
+
+
+@pytest.mark.parametrize("decimals", [None, 1])
+def test_radius_filters_exact_on_boundary(decimals):
+    """Radii equal to pairwise distances keep the points the oracle keeps."""
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(20, 60))
+        coords = rng.uniform(-3, 3, (n, 3))
+        cloud = PointCloud(coords if decimals is None else np.round(coords, decimals),
+                           np.full(n, 0.5))
+        dist = np.sqrt(((cloud.coords[:, None] - cloud.coords[None]) ** 2).sum(axis=2))
+        pairwise = dist[np.triu_indices(n, 1)]
+        index = build_index(cloud)
+        for r in rng.choice(pairwise[pairwise > 0], 10):
+            for m in (1, 3, 7):
+                # alpha * beta * range (< 6e-4 m) is far below these radii: sr is sr_min
+                for params in (Ror(float(r), m), Dror(1e-4, 1.0, m, float(r))):
+                    np.testing.assert_array_equal(apply_filter(cloud, params, index),
+                                                  brute_force_mask(cloud, params))
+
+
+def test_radius_params_must_be_finite():
+    for make in (lambda v: Ror(v, 1), lambda v: Dror(v, 3.0, 1, 0.04),
+                 lambda v: Dror(0.01, v, 1, 0.04), lambda v: Dror(0.01, 3.0, 1, v)):
+        for bad in (np.inf, np.nan):
+            with pytest.raises(InvalidInputError):
+                make(bad)
 
 
 def test_index_single_point_self_excluded():
