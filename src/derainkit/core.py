@@ -5,7 +5,9 @@ are pure; nothing mutates its inputs.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,20 +45,26 @@ CLASS_NAMES = {
 
 @dataclass(frozen=True)
 class PointCloud:
-    """N points with 3D sensor-frame coordinates (m) and intensity in [0, 1]."""
+    """N points: 3D sensor-frame coords (m), intensity in [0, 1], both read-only copies."""
 
     coords: np.ndarray
     intensity: np.ndarray
 
     def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=np.float64).reshape(-1, 3)
-        intensity = np.asarray(self.intensity, dtype=np.float64).reshape(-1)
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "intensity", intensity)
+        for name, shape in (("coords", (-1, 3)), ("intensity", (-1,))):
+            array = np.array(getattr(self, name), dtype=np.float64).reshape(shape)
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     @property
     def count(self) -> int:
         return self.coords.shape[0]
+
+    @cached_property
+    def index(self):
+        """This cloud's ``SpatialIndex``, built on first use; read-only arrays keep it current."""
+        from .filters import SpatialIndex  # a lazy import: filters imports this module
+        return SpatialIndex(self)
 
 
 def empty_cloud() -> PointCloud:
@@ -84,10 +92,12 @@ class SensorCalibration:
 
     elevations : V radians, strictly ascending, each in (-pi/2, pi/2)
     azimuths   : H radians, strictly ascending, each in [-pi, pi)
-    r_max      : maximum sensor range (m), > 0
+    r_max      : maximum sensor range (m), > 0 and finite
     r_min      : minimum sensor range (m), >= 0 and < r_max
     sensor_height : height of the sensor origin above world ground (m),
-        used only by scene synthesis
+        finite, used only by scene synthesis
+
+    Each check is written so that NaN fails it.
     """
 
     elevations: np.ndarray
@@ -101,14 +111,16 @@ class SensorCalibration:
         azim = np.asarray(self.azimuths, dtype=np.float64).reshape(-1)
         object.__setattr__(self, "elevations", elev)
         object.__setattr__(self, "azimuths", azim)
-        if elev.size and (np.any(np.diff(elev) <= 0) or np.any(np.abs(elev) >= np.pi / 2)):
+        if not (np.all(np.diff(elev) > 0) and np.all(np.abs(elev) < np.pi / 2)):
             raise InvalidInputError("elevations must be strictly ascending within (-pi/2, pi/2)")
-        if azim.size and (np.any(np.diff(azim) <= 0) or azim[0] < -np.pi or azim[-1] >= np.pi):
+        if azim.size and not (np.all(np.diff(azim) > 0) and -np.pi <= azim[0] and azim[-1] < np.pi):
             raise InvalidInputError("azimuths must be strictly ascending within [-pi, pi)")
-        if not self.r_max > 0:
-            raise InvalidInputError("r_max must be positive")
-        if self.r_min < 0 or self.r_min >= self.r_max:
+        if not 0 < self.r_max < math.inf:
+            raise InvalidInputError("r_max must be positive and finite")
+        if not 0 <= self.r_min < self.r_max:
             raise InvalidInputError("r_min must satisfy 0 <= r_min < r_max")
+        if not math.isfinite(self.sensor_height):
+            raise InvalidInputError("sensor_height must be finite")
 
     @property
     def v(self) -> int:

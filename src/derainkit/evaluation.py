@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import RAIN, ConfusionCounts, LabelSet
 from .errors import EmptyDatasetError, EmptySearchSpaceError, LengthMismatchError
-from .filters import Dror, Dsor, FilterParams, Ror, Sor, apply_filter, build_index
+from .filters import Dror, Dsor, FilterParams, Ror, Sor, apply_filter
 
 
 @dataclass(frozen=True)
@@ -80,12 +80,15 @@ def derive_metrics(counts: ConfusionCounts, wall_time_ms: float | None = None) -
 def benchmark_run(dataset, filters) -> list[BenchmarkRow]:
     """Evaluate (name, params) filters over (cloud, labels, density tag) triples.
 
-    Counts pool per filter and density group; wall time is the mean per cloud.
+    Counts pool per filter and density group. wall_time_ms is the mean filter
+    time per cloud on a built table: each cloud's is warmed before any timing.
     Row order: filters in given order, densities in first-seen order.
     """
-    dataset = list(dataset)
+    dataset, filters = list(dataset), list(filters)
     if not dataset:
         raise EmptyDatasetError("benchmark dataset is empty")
+    counts = [getattr(p, f) for _, p in filters if (f := _NEIGHBOR_COUNT_FIELDS.get(type(p)))]
+    _warm([cloud for cloud, _, _ in dataset], max(counts, default=0))
     densities = list(dict.fromkeys(tag for _, _, tag in dataset))
     rows = []
     for name, params in filters:
@@ -118,8 +121,8 @@ DEFAULT_SEARCH_SPACES = {
 }
 
 _PARAM_CLASSES = {"ror": Ror, "sor": Sor, "dror": Dror, "dsor": Dsor}
-# The field that sets how many columns of a cloud's kNN table a trial reads.
-_NEIGHBOR_COUNT_FIELDS = {"ror": "min_neighbors", "sor": "k", "dror": "k_min", "dsor": "k"}
+# The field that sets how many columns of a cloud's kNN table a filter reads.
+_NEIGHBOR_COUNT_FIELDS = {Ror: "min_neighbors", Sor: "k", Dror: "k_min", Dsor: "k"}
 
 DEFAULT_PARAMS = {
     "ror": Ror(radius=0.5, min_neighbors=5),
@@ -141,17 +144,17 @@ def _sample_params(kind: str, space: dict, rng: np.random.Generator) -> FilterPa
     return _PARAM_CLASSES[kind](**values)
 
 
-def pooled_f1(dataset, params: FilterParams, indexes=None) -> float:
-    """Pooled rain-class F1 of one filter over (cloud, labels) pairs.
+def _warm(clouds, k: int) -> None:
+    """Build each non-empty cloud's kNN table at least k columns wide."""
+    for cloud in (c for c in clouds if c.count):
+        cloud.index.knn_dists(k)
 
-    ``indexes`` optionally gives one prebuilt ``SpatialIndex`` per cloud, in
-    dataset order; the result is the same as without them.
-    """
-    dataset = list(dataset)
-    indexes = [None] * len(dataset) if indexes is None else indexes
+
+def pooled_f1(dataset, params: FilterParams) -> float:
+    """Pooled rain-class F1 of one filter over (cloud, labels) pairs."""
     pooled = ConfusionCounts(0, 0, 0, 0)
-    for (cloud, labels), index in zip(dataset, indexes, strict=True):
-        pooled = pooled + confusion(~apply_filter(cloud, params, index), labels)
+    for cloud, labels in dataset:
+        pooled = pooled + confusion(~apply_filter(cloud, params), labels)
     return derive_metrics(pooled).f1
 
 
@@ -167,10 +170,8 @@ def tune_filter(
 
     Draws up to n_samples (cloud, labels) pairs without replacement, then
     evaluates n_trials independently sampled parameter vectors; ties keep the
-    earliest trial. Fully determined by seed. Each sampled cloud gets one
-    spatial index, shared by every trial, and is warmed once at the search
-    space's largest neighbor count (k, min_neighbors or k_min), so every trial
-    only reads its kNN table.
+    earliest trial. Fully determined by seed. Each sampled cloud's kNN table
+    is warmed once at the space's largest neighbor count, so trials only read it.
     """
     dataset = list(dataset)
     if not dataset:
@@ -187,19 +188,14 @@ def tune_filter(
     take = min(n_samples, len(dataset))
     subset_idx = rng.choice(len(dataset), size=take, replace=False)
     subset = [dataset[i] for i in subset_idx]
-    indexes = [build_index(cloud) for cloud, _ in subset]
-    count_field = _NEIGHBOR_COUNT_FIELDS[kind]
-    if count_field in space:
-        k_max = int(space[count_field][2])
-        for index in indexes:
-            if index.count:
-                index.knn_dists(k_max)
+    count_field = _NEIGHBOR_COUNT_FIELDS[_PARAM_CLASSES[kind]]
+    _warm([cloud for cloud, _ in subset], int(space[count_field][2]) if count_field in space else 0)
 
     best_params = None
     best_f1 = -1.0
     for _ in range(n_trials):
         params = _sample_params(kind, space, rng)
-        score = pooled_f1(subset, params, indexes)
+        score = pooled_f1(subset, params)
         if score > best_f1:
             best_f1 = score
             best_params = params

@@ -43,7 +43,7 @@ def write_cloud(cloud: PointCloud) -> bytes:
 def read_cloud(data: bytes) -> PointCloud:
     if len(data) % 16 != 0:
         raise TruncatedFileError(f"cloud file length {len(data)} is not a multiple of 16")
-    quads = np.frombuffer(data, dtype="<f4").reshape(-1, 4).astype(np.float64)
+    quads = np.frombuffer(data, dtype="<f4").reshape(-1, 4)
     cloud = PointCloud(quads[:, :3], quads[:, 3])
     validate_cloud(cloud)
     return cloud

@@ -12,8 +12,9 @@ order statistic: a point has at least m neighbors within r exactly when its
 m-th nearest-neighbor distance is <= r, so they compare one column of the
 table with the radius (m = 0 keeps every point). The table's distances come
 from the oracle's own numpy expression, so boundary cases agree bit for bit.
-Radii must be finite: past a cloud's n - 1 neighbors the table holds +inf,
-which an infinite radius would count as a neighbor.
+Past a cloud's n - 1 neighbors the table holds +inf padding, which ROR/DROR
+never read, so a radius that overflows to inf (DROR's beta * alpha * range)
+still counts only real neighbors.
 """
 from __future__ import annotations
 
@@ -100,7 +101,7 @@ class SpatialIndex:
     table computed so far (n x k_max float64, 8*n*k_max bytes) is cached, so a
     query for any k <= k_max is a slice of it and only a larger k queries the
     tree again. Each row is sorted ascending and holds +inf past the cloud's
-    n - 1 neighbors.
+    n - 1 neighbors. Filters given no index use the cloud's own, ``cloud.index``.
     """
 
     def __init__(self, cloud: PointCloud):
@@ -156,31 +157,28 @@ def _point_ranges(cloud: PointCloud) -> np.ndarray:
 
 
 def _has_neighbors(cloud: PointCloud, m: int, radii, index: SpatialIndex | None) -> np.ndarray:
-    """At least m neighbors within radii: the m-th nearest-neighbor distance is <= radii."""
-    if m == 0:
-        return np.ones(cloud.count, dtype=bool)
-    index = index or build_index(cloud)
-    return index.knn_dists(m)[:, m - 1] <= radii
+    """At least m neighbors within radii: the m-th nearest-neighbor distance is <= radii.
+
+    A cloud with fewer than m other points keeps none, without reading the padding.
+    """
+    if m == 0 or m >= cloud.count:
+        return np.full(cloud.count, m == 0)
+    return (index or cloud.index).knn_dists(m)[:, m - 1] <= radii
 
 
 def ror(cloud: PointCloud, params: Ror, index: SpatialIndex | None = None) -> np.ndarray:
-    if cloud.count == 0:
-        return np.zeros(0, dtype=bool)
     return _has_neighbors(cloud, params.min_neighbors, params.radius, index)
 
 
 def sor(cloud: PointCloud, params: Sor, index: SpatialIndex | None = None) -> np.ndarray:
     if cloud.count == 0:
         return np.zeros(0, dtype=bool)
-    index = index or build_index(cloud)
-    d = index.knn_mean_dists(params.k)
+    d = (index or cloud.index).knn_mean_dists(params.k)
     threshold = d.mean() + params.s * d.std()
     return d <= threshold
 
 
 def dror(cloud: PointCloud, params: Dror, index: SpatialIndex | None = None) -> np.ndarray:
-    if cloud.count == 0:
-        return np.zeros(0, dtype=bool)
     sr = np.maximum(params.sr_min, params.beta * params.alpha * _point_ranges(cloud))
     return _has_neighbors(cloud, params.k_min, sr, index)
 
@@ -188,8 +186,7 @@ def dror(cloud: PointCloud, params: Dror, index: SpatialIndex | None = None) -> 
 def dsor(cloud: PointCloud, params: Dsor, index: SpatialIndex | None = None) -> np.ndarray:
     if cloud.count == 0:
         return np.zeros(0, dtype=bool)
-    index = index or build_index(cloud)
-    d = index.knn_mean_dists(params.k)
+    d = (index or cloud.index).knn_mean_dists(params.k)
     global_threshold = d.mean() + params.s * d.std()
     dynamic = global_threshold * params.r * _point_ranges(cloud)
     return d <= dynamic
@@ -220,8 +217,8 @@ def brute_force_mask(cloud: PointCloud, params: FilterParams) -> np.ndarray:
     if n == 0:
         return np.zeros(0, dtype=bool)
     diff = cloud.coords[:, None, :] - cloud.coords[None, :, :]
-    dist = np.sqrt((diff ** 2).sum(axis=2))
-    np.fill_diagonal(dist, np.inf)  # self-exclusion
+    # Self-exclusion: drop the diagonal, leaving each point's n - 1 neighbor distances.
+    dist = np.sqrt((diff ** 2).sum(axis=2))[~np.eye(n, dtype=bool)].reshape(n, n - 1)
 
     if isinstance(params, Ror):
         return (dist <= params.radius).sum(axis=1) >= params.min_neighbors

@@ -129,10 +129,10 @@ def project_to_pgm(cloud: PointCloud, calib: SensorCalibration) -> PolarGridMap:
 def flatten(pgm: PolarGridMap) -> tuple[PointCloud, np.ndarray]:
     """Reshape a grid back to list form, row-major (elevation-major).
 
-    Returns the V*H point cloud and the flattened unreturned mask in the same
-    order.
+    Returns the V*H point cloud (which copies the grid's arrays) and the
+    flattened unreturned mask in the same order.
     """
-    cloud = PointCloud(pgm.coords.reshape(-1, 3).copy(), pgm.intensity.reshape(-1).copy())
+    cloud = PointCloud(pgm.coords.reshape(-1, 3), pgm.intensity.reshape(-1))
     return cloud, pgm.unreturned.reshape(-1).copy()
 
 

@@ -46,10 +46,10 @@ MP_N0_DEFAULT = 8000.0  # m^-3 mm^-1
 class RainConfig:
     """Rain field parameters.
 
-    rate is in mm/h; d_min/d_max bound drop diameters in mm; n0 is the
-    drop-size-distribution intercept in m^-3 mm^-1; beam_divergence is the
-    beam half-angle in radians; rain_reflectance is the intensity written for
-    rain returns.
+    rate is in mm/h, positive and finite; d_min/d_max bound drop diameters in
+    mm; n0 is the drop-size-distribution intercept in m^-3 mm^-1, positive and
+    finite; beam_divergence is the beam half-angle in [0, pi/2) radians;
+    rain_reflectance is the intensity in [0, 1] written for rain returns.
     """
 
     rate: float
@@ -63,10 +63,14 @@ class RainConfig:
     def __post_init__(self):
         if not self.rate > 0:
             raise NonPositiveRateError("rain rate must be positive")
-        if not 0 < self.d_min < self.d_max:
-            raise InvalidInputError("need 0 < d_min < d_max")
-        if self.beam_divergence < 0:
-            raise InvalidInputError("beam_divergence must be non-negative")
+        if not (self.rate < math.inf and 0 < self.n0 < math.inf):
+            raise InvalidInputError("rate must be finite, n0 positive and finite")
+        if not 0 < self.d_min < self.d_max < math.inf:
+            raise InvalidInputError("need 0 < d_min < d_max, d_max finite")
+        if not 0 <= self.beam_divergence < math.pi / 2:
+            raise InvalidInputError("beam_divergence must lie in [0, pi/2)")
+        if not 0 <= self.rain_reflectance <= 1:
+            raise InvalidInputError("rain_reflectance must lie in [0, 1]")
 
 
 @dataclass(frozen=True)

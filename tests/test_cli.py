@@ -42,6 +42,17 @@ def test_simulate_bad_calibration_exits_one(tmp_path, capsys):
     assert "/elevations" in capsys.readouterr().err
 
 
+def test_simulate_nan_calibration_exits_one(tmp_path, capsys):
+    calib = tmp_path / "nan.json"
+    calib.write_text(json.dumps({"elevations": [float("nan")], "azimuths": [0.0, float("nan")],
+                                 "r_max": 10.0, "r_min": 0.5, "sensor_height": 2.0}))
+    code = run(["simulate", "--scene", "minimal", "--calib", str(calib), "--rate", "10",
+                "--out", str(tmp_path / "sim")])
+    assert code == 1
+    assert "elevations" in capsys.readouterr().err
+    assert not (tmp_path / "sim").exists()
+
+
 def test_scene_command_round_trips(tmp_path, capsys):
     out = tmp_path / "scene.json"
     assert run(["scene", "--name", "minimal", "--out", str(out)]) == 0

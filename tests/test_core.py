@@ -5,6 +5,7 @@ from derainkit import (
     ConfusionCounts,
     LabelSet,
     PointCloud,
+    SensorCalibration,
     merge_clouds,
     validate_cloud,
 )
@@ -26,19 +27,56 @@ def test_validate_empty_cloud_succeeds():
 
 
 def test_validate_intensity_out_of_range_names_index():
-    cloud = make_cloud(5)
-    cloud.intensity[3] = 1.5
+    good = make_cloud(5)
+    intensity = good.intensity.copy()
+    intensity[3] = 1.5
+    cloud = PointCloud(good.coords, intensity)
     with pytest.raises(IntensityOutOfRangeError) as err:
         validate_cloud(cloud)
     assert err.value.index == 3
 
 
 def test_validate_nan_coordinate_names_index():
-    cloud = make_cloud(4)
-    cloud.coords[0, 0] = np.nan
+    good = make_cloud(4)
+    coords = good.coords.copy()
+    coords[0, 0] = np.nan
+    cloud = PointCloud(coords, good.intensity)
     with pytest.raises(NonFiniteCoordinateError) as err:
         validate_cloud(cloud)
     assert err.value.index == 0
+
+
+def test_cloud_arrays_are_read_only_copies():
+    coords = np.arange(12.0).reshape(4, 3)
+    intensity = np.full(4, 0.5)
+    cloud = PointCloud(coords, intensity)
+    with pytest.raises(ValueError):
+        cloud.coords[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        cloud.intensity[0] = 1.0
+    coords[0, 0] = -1.0
+    intensity[0] = 0.25
+    assert coords.flags.writeable and intensity.flags.writeable
+    assert cloud.coords[0, 0] == 0.0 and cloud.intensity[0] == 0.5
+
+
+@pytest.mark.parametrize("bad", [
+    {"elevations": [np.nan]},
+    {"elevations": [-0.1, np.nan, 0.1]},
+    {"azimuths": [0.0, np.nan]},
+    {"azimuths": [np.nan]},
+    {"r_min": np.nan},
+    {"r_max": np.inf},
+    {"r_max": np.nan},
+    {"sensor_height": np.nan},
+    {"sensor_height": -np.inf},
+], ids=lambda bad: "-".join(f"{k}={v}" for k, v in bad.items()))
+def test_calibration_rejects_non_finite(bad):
+    good = {"elevations": [-0.1, 0.1], "azimuths": [0.0, 0.5], "r_max": 10.0, "r_min": 0.5,
+            "sensor_height": 2.0}
+    SensorCalibration(**good)
+    with pytest.raises(InvalidInputError):
+        SensorCalibration(**{**good, **bad})
 
 
 def test_merge_with_empty_is_identity():

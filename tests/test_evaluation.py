@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from derainkit import (
     ConfusionCounts,
@@ -13,10 +14,10 @@ from derainkit import (
     iou_from_f1,
     tune_filter,
 )
-from derainkit.core import RAIN
+from derainkit.core import RAIN, empty_cloud
 from derainkit.errors import EmptyDatasetError, LengthMismatchError
 from derainkit.evaluation import DEFAULT_PARAMS, DEFAULT_SEARCH_SPACES, _sample_params, pooled_f1
-from derainkit.filters import build_index
+from derainkit import filters
 
 
 def test_confusion_perfect_prediction():
@@ -130,6 +131,25 @@ def pairs(dataset):
     return [(c, l) for c, l, _ in dataset]
 
 
+def test_one_tree_per_cloud_across_tuning_and_benchmark(monkeypatch):
+    """tune_filter for every kind plus benchmark_run build each non-empty cloud's tree once."""
+    built = []
+
+    def counting_tree(coords):
+        built.append(coords)
+        return cKDTree(coords)
+
+    monkeypatch.setattr(filters, "cKDTree", counting_tree)
+    dataset = rain_dataset(3, seed=4) + [(empty_cloud(), LabelSet([]), "heavy")]
+    dataset += rain_dataset(2, seed=5, tag="light")
+    for kind in DEFAULT_SEARCH_SPACES:
+        tune_filter(kind, pairs(dataset), n_samples=4, n_trials=5, seed=3)
+    benchmark_run(dataset, list(DEFAULT_PARAMS.items()))
+    clouds = [cloud for cloud, _, _ in dataset if cloud.count]
+    assert len(built) == len(clouds)
+    assert sorted(map(id, built)) == sorted(id(cloud.coords) for cloud in clouds)
+
+
 def test_tune_single_trial_returns_candidate():
     data = pairs(rain_dataset(3, seed=6))
     params, f1 = tune_filter("dsor", data, n_samples=3, n_trials=1, seed=9)
@@ -161,19 +181,20 @@ def test_tuned_beats_or_matches_default():
 
 @pytest.mark.parametrize("kind", ["ror", "sor", "dror", "dsor"])
 def test_shared_indexes_change_no_trial(kind):
-    """Every trial tune_filter draws scores the same with its shared indexes."""
+    """Every trial tune_filter draws scores the same on its clouds' warmed tables
+    as on fresh copies of the clouds, whose tables are built at the trial's k."""
     data = pairs(rain_dataset(4, seed=10))
     seed, n_samples, n_trials = 21, 3, 40
     params, f1 = tune_filter(kind, data, n_samples=n_samples, n_trials=n_trials, seed=seed)
 
     rng = np.random.default_rng(seed)
     subset = [data[i] for i in rng.choice(len(data), size=n_samples, replace=False)]
-    indexes = [build_index(cloud) for cloud, _ in subset]
     best = (None, -1.0)
     for _ in range(n_trials):
         trial = _sample_params(kind, DEFAULT_SEARCH_SPACES[kind], rng)
         score = pooled_f1(subset, trial)
-        assert pooled_f1(subset, trial, indexes) == score
+        fresh = [(PointCloud(cloud.coords, cloud.intensity), labels) for cloud, labels in subset]
+        assert pooled_f1(fresh, trial) == score
         if score > best[1]:
             best = (trial, score)
     assert (params, f1) == best

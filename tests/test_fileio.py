@@ -10,6 +10,7 @@ from derainkit.core import empty_cloud
 from derainkit.errors import (
     IntensityOutOfRangeError,
     InvalidClassError,
+    InvalidInputError,
     InvalidMaskByteError,
     NonFiniteCoordinateError,
     SchemaError,
@@ -152,6 +153,15 @@ def test_calibration_json_non_number_angle_is_schema_error():
         with pytest.raises(SchemaError) as err:
             fileio.read_calibration_json(json.dumps({**obj, key: bad}))
         assert err.value.path == f"/{key}"
+
+
+def test_calibration_json_non_finite_values_rejected():
+    obj = json.loads(fileio.write_calibration_json(grid_calibration(2, 3)))
+    for key, bad in (("elevations", [float("nan")]), ("azimuths", [0.0, float("nan")]),
+                     ("r_min", float("nan")), ("r_max", float("inf")),
+                     ("sensor_height", float("nan"))):
+        with pytest.raises(InvalidInputError):
+            fileio.read_calibration_json(json.dumps({**obj, key: bad}))
 
 
 def test_rain_config_json_round_trip():

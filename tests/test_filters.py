@@ -16,6 +16,7 @@ from derainkit import (
     sor,
 )
 from derainkit.core import empty_cloud
+from derainkit.filters import SpatialIndex
 from derainkit.errors import (
     EmptyIndexError,
     InvalidInputError,
@@ -60,6 +61,21 @@ def test_knn_table_matches_fresh_query():
                 index = build_index(cloud)
                 for k in order:
                     np.testing.assert_array_equal(index.knn_mean_dists(k), fresh[k])
+
+
+def test_cloud_table_equals_fresh_index_in_any_order():
+    """A cloud's own table equals a fresh SpatialIndex's at every k, whatever order k comes in."""
+    ks = list(range(1, 31))
+    for seed in range(10):
+        for decimals in (0, 1, 2):
+            cloud = tied_cloud(seed, decimals)
+            fresh = {k: SpatialIndex(cloud).knn_dists(k) for k in ks}
+            shuffled = np.random.default_rng(seed).permutation(ks)
+            for order in (ks, ks[::-1], shuffled):
+                copy = PointCloud(cloud.coords, cloud.intensity)
+                for k in order:
+                    np.testing.assert_array_equal(copy.index.knn_dists(k), fresh[k])
+                assert copy.index is copy.index and copy.index is not cloud.index
 
 
 def test_knn_table_sorted_padded_and_counts_radius():
@@ -109,6 +125,17 @@ def test_radius_filters_exact_on_boundary(decimals):
                 for params in (Ror(float(r), m), Dror(1e-4, 1.0, m, float(r))):
                     np.testing.assert_array_equal(apply_filter(cloud, params, index),
                                                   brute_force_mask(cloud, params))
+
+
+@pytest.mark.parametrize("m, kept", [(1, True), (2, False), (3, False)])
+def test_dror_radius_overflow_counts_real_neighbors_only(m, kept):
+    """beta * alpha * range overflows to inf; each of two points still has one neighbor."""
+    cloud = PointCloud([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]], [0.5, 0.5])
+    params = Dror(1e200, 1e200, m, 0.04)
+    expected = np.full(2, kept)
+    np.testing.assert_array_equal(brute_force_mask(cloud, params), expected)
+    np.testing.assert_array_equal(apply_filter(cloud, params), expected)
+    np.testing.assert_array_equal(apply_filter(cloud, params, build_index(cloud)), expected)
 
 
 def test_radius_params_must_be_finite():

@@ -16,7 +16,7 @@ from derainkit import (
     sample_drop_field,
 )
 from derainkit.core import RAIN
-from derainkit.errors import DegenerateBoundsError, NonPositiveRateError
+from derainkit.errors import DegenerateBoundsError, InvalidInputError, NonPositiveRateError
 from derainkit.pgm import beam_directions
 from derainkit.rainsim import beam_field_bounds, cumulative_hazard, diameter_cdf, drop_moments
 
@@ -31,6 +31,24 @@ def test_lambda_values():
 def test_lambda_rejects_nonpositive():
     with pytest.raises(NonPositiveRateError):
         marshall_palmer_lambda(0)
+
+
+@pytest.mark.parametrize("bad", [
+    {"n0": np.nan}, {"n0": 0.0}, {"n0": -8000.0}, {"n0": np.inf},
+    {"rate": np.inf},
+    {"beam_divergence": np.nan}, {"beam_divergence": np.pi / 2}, {"beam_divergence": 2.0},
+    {"rain_reflectance": 2.0}, {"rain_reflectance": -0.1}, {"rain_reflectance": np.nan},
+    {"d_max": np.inf},
+], ids=lambda bad: "-".join(f"{k}={v:.4g}" for k, v in bad.items()))
+def test_rain_config_rejects_values_that_break_later_stages(bad):
+    with pytest.raises(InvalidInputError):
+        RainConfig(**{"rate": 10.0, **bad})
+
+
+@pytest.mark.parametrize("rate", [0.0, -1.0, np.nan])
+def test_rain_config_rejects_nonpositive_rate(rate):
+    with pytest.raises(NonPositiveRateError):
+        RainConfig(rate=rate)
 
 
 def test_concentration_matches_quadrature():
