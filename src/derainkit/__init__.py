@@ -36,7 +36,7 @@ from .rainsim import (
     marshall_palmer_lambda,
     sample_drop_field,
 )
-from .filters import Dror, Dsor, Ror, Sor, apply_filter, brute_force_mask, build_index, dror, dsor, ror, sor
+from .filters import Dror, Dsor, Ror, Sor, apply_filter, brute_force_mask, build_index
 from .annotate import (
     AnnotationScene,
     PlaneModel,

@@ -114,9 +114,7 @@ def point_in_polygon(xy, polygon) -> bool:
 
 
 def _in_box(coords: np.ndarray, box: OrientedBox) -> np.ndarray:
-    c, s = np.cos(-box.yaw), np.sin(-box.yaw)
-    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    local = (coords - box.center) @ rot.T
+    local = box.to_box_frame(coords - box.center)
     return (np.abs(local) <= box.half_extents).all(axis=1)
 
 

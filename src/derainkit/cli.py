@@ -17,7 +17,7 @@ from .annotate import RansacConfig, auto_annotate, transfer_labels
 from .core import LabelSet, grid_calibration
 from .errors import DerainKitError
 from .evaluation import ConfusionCounts, BenchmarkRow, benchmark_run, confusion, derive_metrics, tune_filter
-from .filters import apply_filter
+from .filters import KINDS, apply_filter
 from .pgm import flatten
 from .rainsim import RainConfig, inject_rain
 from .scene import BUILTIN_SCENE_NAMES, builtin_scene, raycast_scene
@@ -182,16 +182,7 @@ def _cmd_tune(args) -> int:
 
 def _cmd_bench(args) -> int:
     dataset = _scan_dataset(args.data)
-    spec = fileio._parse_json(_read_path(args.filters).decode())
-    if not isinstance(spec, list):
-        raise CliError("filter list must be a JSON array of {name, params}")
-    filters = []
-    for entry in spec:
-        name = entry.get("name") if isinstance(entry, dict) else None
-        if not name or "params" not in entry:
-            raise CliError("each filter entry needs 'name' and 'params'")
-        filters.append((name, fileio.read_filter_params_json(
-            fileio.json.dumps(entry["params"]))))
+    filters = fileio.read_filter_list_json(_read_path(args.filters).decode())
     text = fileio.write_results_csv(benchmark_run(dataset, filters))
     if args.out:
         Path(args.out).write_text(text)
@@ -258,7 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tune", help="random-search filter parameters on a dataset")
     p.add_argument("--data", required=True, help="directory of .bin/.label pairs")
-    p.add_argument("--kind", required=True, choices=("ror", "sor", "dror", "dsor"))
+    p.add_argument("--kind", required=True, choices=tuple(KINDS))
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)

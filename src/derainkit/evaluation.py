@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import RAIN, ConfusionCounts, LabelSet
 from .errors import EmptyDatasetError, EmptySearchSpaceError, LengthMismatchError
-from .filters import Dror, Dsor, FilterParams, Ror, Sor, apply_filter
+from .filters import DEFAULT_PARAMS, KINDS, FilterParams, apply_filter  # DEFAULT_PARAMS re-exported
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ def benchmark_run(dataset, filters) -> list[BenchmarkRow]:
     dataset, filters = list(dataset), list(filters)
     if not dataset:
         raise EmptyDatasetError("benchmark dataset is empty")
-    counts = [getattr(p, f) for _, p in filters if (f := _NEIGHBOR_COUNT_FIELDS.get(type(p)))]
+    counts = [getattr(p, p.count) for _, p in filters]
     _warm([cloud for cloud, _, _ in dataset], max(counts, default=0))
     densities = list(dict.fromkeys(tag for _, _, tag in dataset))
     rows = []
@@ -108,28 +108,7 @@ def benchmark_run(dataset, filters) -> list[BenchmarkRow]:
 
 
 # Search-space entries are (kind, low, high) with kind in {"lin", "log", "int"}.
-DEFAULT_SEARCH_SPACES = {
-    "ror": {"radius": ("log", 0.05, 2.0), "min_neighbors": ("int", 1, 20)},
-    "sor": {"k": ("int", 2, 30), "s": ("lin", 0.0, 3.0)},
-    "dror": {
-        "alpha": ("log", 1e-3, 0.1),
-        "beta": ("lin", 1.0, 5.0),
-        "k_min": ("int", 1, 20),
-        "sr_min": ("lin", 0.01, 0.5),
-    },
-    "dsor": {"k": ("int", 2, 30), "s": ("lin", 0.0, 2.0), "r": ("log", 0.01, 1.0)},
-}
-
-_PARAM_CLASSES = {"ror": Ror, "sor": Sor, "dror": Dror, "dsor": Dsor}
-# The field that sets how many columns of a cloud's kNN table a filter reads.
-_NEIGHBOR_COUNT_FIELDS = {Ror: "min_neighbors", Sor: "k", Dror: "k_min", Dsor: "k"}
-
-DEFAULT_PARAMS = {
-    "ror": Ror(radius=0.5, min_neighbors=5),
-    "sor": Sor(k=5, s=1.0),
-    "dror": Dror(alpha=0.01, beta=3.0, k_min=3, sr_min=0.04),
-    "dsor": Dsor(k=5, s=1.0, r=0.05),
-}
+DEFAULT_SEARCH_SPACES = {kind: cls.space for kind, cls in KINDS.items()}
 
 
 def _sample_params(kind: str, space: dict, rng: np.random.Generator) -> FilterParams:
@@ -141,7 +120,7 @@ def _sample_params(kind: str, space: dict, rng: np.random.Generator) -> FilterPa
             values[name] = float(np.exp(rng.uniform(np.log(low), np.log(high))))
         else:
             values[name] = float(rng.uniform(low, high))
-    return _PARAM_CLASSES[kind](**values)
+    return KINDS[kind](**values)
 
 
 def _warm(clouds, k: int) -> None:
@@ -176,7 +155,7 @@ def tune_filter(
     dataset = list(dataset)
     if not dataset:
         raise EmptyDatasetError("tuning dataset is empty")
-    if kind not in _PARAM_CLASSES:
+    if kind not in KINDS:
         raise EmptySearchSpaceError(f"unknown filter kind {kind!r}")
     space = DEFAULT_SEARCH_SPACES[kind] if search_space is None else search_space
     if not space:
@@ -188,8 +167,8 @@ def tune_filter(
     take = min(n_samples, len(dataset))
     subset_idx = rng.choice(len(dataset), size=take, replace=False)
     subset = [dataset[i] for i in subset_idx]
-    count_field = _NEIGHBOR_COUNT_FIELDS[_PARAM_CLASSES[kind]]
-    _warm([cloud for cloud, _ in subset], int(space[count_field][2]) if count_field in space else 0)
+    count = KINDS[kind].count
+    _warm([cloud for cloud, _ in subset], int(space[count][2]) if count in space else 0)
 
     best_params = None
     best_f1 = -1.0

@@ -3,7 +3,7 @@
 .bin    little-endian float32 quadruplets (x, y, z, intensity), 16 B/point
 .label  little-endian uint32 per point, low 16 bits class id, high 16 reserved
 .mask   one byte per point, 1 = keep, 0 = removed; any other byte is an error
-.json   scenes, calibrations, rain configs, filter params
+.json   scenes, calibrations, rain configs, filter params, filter lists
 .csv    benchmark results, percent values at 2 decimals, integer ms
 
 Readers map every malformed input to a typed error; they never crash on
@@ -11,6 +11,7 @@ arbitrary bytes.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -23,7 +24,7 @@ from .errors import (
     TruncatedFileError,
 )
 from .evaluation import BenchmarkRow, MetricReport
-from .filters import Dror, Dsor, FilterParams, Ror, Sor
+from .filters import KINDS, FilterParams
 from .rainsim import RainConfig
 from .scene import OrientedBox, SceneSpec, validate_scene
 from .annotate import AnnotationScene
@@ -263,43 +264,55 @@ def read_rain_config_json(text: str) -> RainConfig:
 
 # ---------------------------------------------------------------- filter params
 
-_FILTER_FIELDS = {
-    "ror": (Ror, ("radius", "min_neighbors")),
-    "sor": (Sor, ("k", "s")),
-    "dror": (Dror, ("alpha", "beta", "k_min", "sr_min")),
-    "dsor": (Dsor, ("k", "s", "r")),
-}
-_INT_FIELDS = {"min_neighbors", "k", "k_min"}
-
-
 def write_filter_params_json(params: FilterParams) -> str:
-    kind = type(params).__name__.lower()
-    _, fields = _FILTER_FIELDS[kind]
-    out = {"kind": kind}
-    out.update({name: getattr(params, name) for name in fields})
-    return json.dumps(out, indent=2)
+    fields = {f.name: getattr(params, f.name) for f in dataclasses.fields(params)}
+    return json.dumps({"kind": type(params).__name__.lower(), **fields}, indent=2)
+
+
+def _filter_params(obj, path) -> FilterParams:
+    cls = KINDS.get(_get(obj, "kind", path, str))
+    if cls is None:
+        raise SchemaError(f"{path}/kind", f"unknown filter kind {obj['kind']!r}")
+    return cls(**{f.name: (_integer if f.type == "int" else _number)(obj, f.name, path)
+                  for f in dataclasses.fields(cls)})
 
 
 def read_filter_params_json(text: str) -> FilterParams:
-    obj = _parse_json(text)
-    kind = _get(obj, "kind", "", str)
-    if kind not in _FILTER_FIELDS:
-        raise SchemaError("/kind", f"unknown filter kind {kind!r}")
-    cls, fields = _FILTER_FIELDS[kind]
-    values = {name: (_integer if name in _INT_FIELDS else _number)(obj, name, "")
-              for name in fields}
-    return cls(**values)
+    return _filter_params(_parse_json(text), "")
+
+
+def read_filter_list_json(text: str) -> list:
+    """[{"name": non-empty string, "params": filter params object}] -> [(name, params)]."""
+    entries = _parse_json(text)
+    if not isinstance(entries, list):
+        raise SchemaError("/", "expected a list of {name, params}")
+    filters = []
+    for i, entry in enumerate(entries):
+        name = _get(entry, "name", f"/{i}", str)
+        if not name:
+            raise SchemaError(f"/{i}/name", "empty")
+        filters.append((name, _filter_params(_get(entry, "params", f"/{i}", dict), f"/{i}/params")))
+    return filters
 
 
 # ---------------------------------------------------------------- results csv
 
+def _csv_cell(value, path) -> str:
+    """value as one cell read_results_csv splits back out: no comma, no line break."""
+    text = str(value)
+    if "," in text or len(f"{text}.".splitlines()) != 1:
+        raise SchemaError(path, f"{text!r} contains a comma or a line break")
+    return text
+
+
 def write_results_csv(rows) -> str:
     lines = [",".join(RESULTS_COLUMNS)]
-    for row in rows:
+    for i, row in enumerate(rows):
         rep = row.report
         time_ms = 0 if rep.wall_time_ms is None else int(round(rep.wall_time_ms))
         lines.append(
-            f"{row.filter_name},{row.rain_density},"
+            f"{_csv_cell(row.filter_name, f'/row/{i}/filter')},"
+            f"{_csv_cell(row.rain_density, f'/row/{i}/rain_density')},"
             f"{rep.precision * 100:.2f},{rep.recall * 100:.2f},"
             f"{rep.f1 * 100:.2f},{rep.rain_iou * 100:.2f},{time_ms}"
         )

@@ -15,12 +15,16 @@ from the oracle's own numpy expression, so boundary cases agree bit for bit.
 Past a cloud's n - 1 neighbors the table holds +inf padding, which ROR/DROR
 never read, so a radius that overflows to inf (DROR's beta * alpha * range)
 still counts only real neighbors.
+
+Each params class describes its kind once: its fields, ``count`` (the field
+setting how many table columns it reads), ``space`` (its tuning search space)
+and ``bound`` (the radius or threshold of its rule). Everything else derives from them.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import ClassVar, Union
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -35,6 +39,9 @@ BRUTE_FORCE_LIMIT = 2000
 class Ror:
     """Radius outlier removal: keep points with >= min_neighbors within radius."""
 
+    count: ClassVar[str] = "min_neighbors"
+    space: ClassVar[dict] = {"radius": ("log", 0.05, 2.0), "min_neighbors": ("int", 1, 20)}
+
     radius: float
     min_neighbors: int
 
@@ -44,10 +51,16 @@ class Ror:
         if self.min_neighbors < 0:
             raise InvalidInputError("min_neighbors must be non-negative")
 
+    def bound(self, cloud: PointCloud, d=None):
+        return self.radius
+
 
 @dataclass(frozen=True)
 class Sor:
     """Statistical outlier removal: keep d_i <= mean + s * std of kNN mean distances."""
+
+    count: ClassVar[str] = "k"
+    space: ClassVar[dict] = {"k": ("int", 2, 30), "s": ("lin", 0.0, 3.0)}
 
     k: int
     s: float
@@ -55,13 +68,24 @@ class Sor:
     def __post_init__(self):
         if self.k < 1:
             raise InvalidInputError("k must be >= 1")
-        if self.s < 0:
-            raise InvalidInputError("s must be non-negative")
+        if not 0 <= self.s < math.inf:
+            raise InvalidInputError("s must be non-negative and finite")
+
+    def bound(self, cloud: PointCloud, d=None):
+        return d.mean() + self.s * d.std()
 
 
 @dataclass(frozen=True)
 class Dror:
     """Dynamic ROR: search radius max(sr_min, beta * alpha * range_i)."""
+
+    count: ClassVar[str] = "k_min"
+    space: ClassVar[dict] = {
+        "alpha": ("log", 1e-3, 0.1),
+        "beta": ("lin", 1.0, 5.0),
+        "k_min": ("int", 1, 20),
+        "sr_min": ("lin", 0.01, 0.5),
+    }
 
     alpha: float
     beta: float
@@ -74,10 +98,16 @@ class Dror:
         if self.k_min < 0 or not 0 <= self.sr_min < math.inf:
             raise InvalidInputError("k_min and sr_min must be non-negative, sr_min finite")
 
+    def bound(self, cloud: PointCloud, d=None):
+        return np.maximum(self.sr_min, self.beta * self.alpha * _point_ranges(cloud))
+
 
 @dataclass(frozen=True)
 class Dsor:
     """Dynamic SOR: per-point threshold (mean + s * std) * r * range_i."""
+
+    count: ClassVar[str] = "k"
+    space: ClassVar[dict] = {"k": ("int", 2, 30), "s": ("lin", 0.0, 2.0), "r": ("log", 0.01, 1.0)}
 
     k: int
     s: float
@@ -86,18 +116,29 @@ class Dsor:
     def __post_init__(self):
         if self.k < 1:
             raise InvalidInputError("k must be >= 1")
-        if self.s < 0 or not self.r > 0:
-            raise InvalidInputError("need s >= 0 and r > 0")
+        if not (0 <= self.s < math.inf and 0 < self.r < math.inf):
+            raise InvalidInputError("need s >= 0 and r > 0, both finite")
+
+    def bound(self, cloud: PointCloud, d=None):
+        return (d.mean() + self.s * d.std()) * self.r * _point_ranges(cloud)
 
 
 FilterParams = Union[Ror, Sor, Dror, Dsor]
+# Each kind's default params, keyed by the kind's name: its lowercased class name.
+DEFAULT_PARAMS = {type(p).__name__.lower(): p for p in (
+    Ror(radius=0.5, min_neighbors=5),
+    Sor(k=5, s=1.0),
+    Dror(alpha=0.01, beta=3.0, k_min=3, sr_min=0.04),
+    Dsor(k=5, s=1.0, r=0.05),
+)}
+KINDS = {name: type(p) for name, p in DEFAULT_PARAMS.items()}
 
 
 class SpatialIndex:
-    """kd-tree over a cloud answering kNN distance tables and radius counts.
+    """kd-tree over a cloud answering kNN distance tables.
 
     Query results match exhaustive search exactly; the query point itself is
-    excluded from both counts and neighbor distances. The widest kNN distance
+    excluded from the neighbor distances. The widest kNN distance
     table computed so far (n x k_max float64, 8*n*k_max bytes) is cached, so a
     query for any k <= k_max is a slice of it and only a larger k queries the
     tree again. Each row is sorted ascending and holds +inf past the cloud's
@@ -111,23 +152,13 @@ class SpatialIndex:
         self._tree = cKDTree(cloud.coords) if cloud.count else None
         self._knn_dists = np.empty((self.count, 0))
 
-    def _require_points(self):
-        if self._tree is None:
-            raise EmptyIndexError("index over an empty cloud")
-
-    def radius_counts(self, radii) -> np.ndarray:
-        """Neighbors (self excluded) within radius of each point; radii may be scalar."""
-        self._require_points()
-        counts = self._tree.query_ball_point(self.coords, np.broadcast_to(radii, (self.count,)),
-                                             return_length=True)
-        return np.asarray(counts) - 1  # boundary inclusive; self sits at distance 0
-
     def knn_dists(self, k: int) -> np.ndarray:
         """n x k distances to each point's k nearest neighbors (self excluded), rows ascending.
 
         Columns past the cloud's n - 1 neighbors hold +inf.
         """
-        self._require_points()
+        if self._tree is None:
+            raise EmptyIndexError("index over an empty cloud")
         if k > self._knn_dists.shape[1]:
             width = min(k + 1, self.count)
             _, idx = self._tree.query(self.coords, k=width)
@@ -139,13 +170,6 @@ class SpatialIndex:
             self._knn_dists = np.pad(dists, ((0, 0), (0, k + 1 - width)),
                                      constant_values=np.inf)
         return self._knn_dists[:, :k]
-
-    def knn_mean_dists(self, k: int) -> np.ndarray:
-        """Mean distance of each point to its k nearest neighbors (self excluded)."""
-        self._require_points()
-        if self.count < k + 1:
-            raise TooFewPointsError(f"need at least {k + 1} points, have {self.count}")
-        return self.knn_dists(k).mean(axis=1)
 
 
 def build_index(cloud: PointCloud) -> SpatialIndex:
@@ -166,50 +190,26 @@ def _has_neighbors(cloud: PointCloud, m: int, radii, index: SpatialIndex | None)
     return (index or cloud.index).knn_dists(m)[:, m - 1] <= radii
 
 
-def ror(cloud: PointCloud, params: Ror, index: SpatialIndex | None = None) -> np.ndarray:
-    return _has_neighbors(cloud, params.min_neighbors, params.radius, index)
-
-
-def sor(cloud: PointCloud, params: Sor, index: SpatialIndex | None = None) -> np.ndarray:
-    if cloud.count == 0:
-        return np.zeros(0, dtype=bool)
-    d = (index or cloud.index).knn_mean_dists(params.k)
-    threshold = d.mean() + params.s * d.std()
-    return d <= threshold
-
-
-def dror(cloud: PointCloud, params: Dror, index: SpatialIndex | None = None) -> np.ndarray:
-    sr = np.maximum(params.sr_min, params.beta * params.alpha * _point_ranges(cloud))
-    return _has_neighbors(cloud, params.k_min, sr, index)
-
-
-def dsor(cloud: PointCloud, params: Dsor, index: SpatialIndex | None = None) -> np.ndarray:
-    if cloud.count == 0:
-        return np.zeros(0, dtype=bool)
-    d = (index or cloud.index).knn_mean_dists(params.k)
-    global_threshold = d.mean() + params.s * d.std()
-    dynamic = global_threshold * params.r * _point_ranges(cloud)
-    return d <= dynamic
-
-
 def apply_filter(cloud: PointCloud, params: FilterParams,
                  index: SpatialIndex | None = None) -> np.ndarray:
-    """Dispatch to the filter matching the params variant. Returns a keep-mask."""
-    if isinstance(params, Ror):
-        return ror(cloud, params, index)
-    if isinstance(params, Sor):
-        return sor(cloud, params, index)
-    if isinstance(params, Dror):
-        return dror(cloud, params, index)
-    if isinstance(params, Dsor):
-        return dsor(cloud, params, index)
-    raise InvalidInputError(f"unknown filter params {type(params).__name__}")
+    """Keep-mask of the params' rule: ROR/DROR's order statistic, SOR/DSOR's prefix mean."""
+    if isinstance(params, (Ror, Dror)):
+        return _has_neighbors(cloud, getattr(params, params.count), params.bound(cloud), index)
+    if not isinstance(params, (Sor, Dsor)):
+        raise InvalidInputError(f"unknown filter params {type(params).__name__}")
+    if cloud.count == 0:
+        return np.zeros(0, dtype=bool)
+    if cloud.count < params.k + 1:
+        raise TooFewPointsError(f"need at least {params.k + 1} points, have {cloud.count}")
+    d = (index or cloud.index).knn_dists(params.k).mean(axis=1)
+    return d <= params.bound(cloud, d)
 
 
 def brute_force_mask(cloud: PointCloud, params: FilterParams) -> np.ndarray:
     """Exhaustive-pairwise oracle with the same contract as the fast filters.
 
-    Guarded to small clouds; this is O(n^2) on purpose.
+    It counts and sorts all pairwise distances itself and takes only each
+    kind's bound from the params. Guarded to small clouds; this is O(n^2) on purpose.
     """
     if cloud.count > BRUTE_FORCE_LIMIT:
         raise TooLargeError(f"brute force limited to {BRUTE_FORCE_LIMIT} points")
@@ -220,19 +220,10 @@ def brute_force_mask(cloud: PointCloud, params: FilterParams) -> np.ndarray:
     # Self-exclusion: drop the diagonal, leaving each point's n - 1 neighbor distances.
     dist = np.sqrt((diff ** 2).sum(axis=2))[~np.eye(n, dtype=bool)].reshape(n, n - 1)
 
-    if isinstance(params, Ror):
-        return (dist <= params.radius).sum(axis=1) >= params.min_neighbors
-    if isinstance(params, Dror):
-        sr = np.maximum(params.sr_min, params.beta * params.alpha * _point_ranges(cloud))
-        return (dist <= sr[:, None]).sum(axis=1) >= params.k_min
-
-    k = params.k
-    if n < k + 1:
-        raise TooFewPointsError(f"need at least {k + 1} points, have {n}")
-    d = np.sort(dist, axis=1)[:, :k].mean(axis=1)
-    threshold = d.mean() + params.s * d.std()
-    if isinstance(params, Sor):
-        return d <= threshold
-    if isinstance(params, Dsor):
-        return d <= threshold * params.r * _point_ranges(cloud)
-    raise InvalidInputError(f"unknown filter params {type(params).__name__}")
+    m = getattr(params, params.count)
+    if isinstance(params, (Ror, Dror)):
+        return (dist <= np.reshape(params.bound(cloud), (-1, 1))).sum(axis=1) >= m
+    if n < m + 1:
+        raise TooFewPointsError(f"need at least {m + 1} points, have {n}")
+    d = np.sort(dist, axis=1)[:, :m].mean(axis=1)
+    return d <= params.bound(cloud, d)

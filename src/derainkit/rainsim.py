@@ -80,7 +80,7 @@ class RainDrop:
 
 
 class DropField:
-    """Vectorized collection of raindrops; indexing yields RainDrop values."""
+    """Vectorized collection of raindrops: one row of centers and diameters per drop."""
 
     def __init__(self, centers: np.ndarray, diameters: np.ndarray):
         self.centers = np.asarray(centers, dtype=np.float64).reshape(-1, 3)
@@ -88,13 +88,6 @@ class DropField:
 
     def __len__(self) -> int:
         return self.centers.shape[0]
-
-    def __getitem__(self, i: int) -> RainDrop:
-        return RainDrop(self.centers[i], float(self.diameters[i]))
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
 
 
 def marshall_palmer_lambda(rate: float):

@@ -11,6 +11,7 @@ at (0, 0, sensor_height) and output coordinates are sensor-frame.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +48,20 @@ class OrientedBox:
         object.__setattr__(
             self, "half_extents", np.asarray(self.half_extents, dtype=np.float64).reshape(3)
         )
+        if not all(map(math.isfinite, [*self.center.tolist(), *self.half_extents.tolist(),
+                                       self.yaw])):
+            raise InvalidSpecError("box center, half extents and yaw must be finite")
+        if not 0 <= self.reflectance <= 1:
+            raise InvalidSpecError("box reflectance must be in [0, 1]")
+
+    def to_box_frame(self, vectors: np.ndarray) -> np.ndarray:
+        """(..., 3) vectors in the box's axes (rotated by -yaw about z).
+
+        For points, subtract the center first.
+        """
+        c, s = np.cos(-self.yaw), np.sin(-self.yaw)
+        rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+        return vectors @ rot.T
 
 
 @dataclass(frozen=True)
@@ -61,10 +76,14 @@ class SceneSpec:
 
     def __post_init__(self):
         normal = np.asarray(self.ground_normal, dtype=np.float64).reshape(3)
+        if not all(map(math.isfinite, [*normal.tolist(), self.ground_offset])):
+            raise InvalidSpecError("ground normal and offset must be finite")
         norm = np.linalg.norm(normal)
         if norm > 0:
             normal = normal / norm
         object.__setattr__(self, "ground_normal", normal)
+        if not 0 <= self.ground_reflectance <= 1:
+            raise InvalidSpecError("ground reflectance must be in [0, 1]")
         object.__setattr__(self, "boxes", tuple(self.boxes))
         object.__setattr__(
             self, "road_polygon", np.asarray(self.road_polygon, dtype=np.float64).reshape(-1, 2)
@@ -145,10 +164,8 @@ def builtin_scene(name: str) -> SceneSpec:
 
 def _ray_box_hits(origin: np.ndarray, dirs: np.ndarray, box: OrientedBox) -> np.ndarray:
     """Entry distance of each ray into the box, +inf where missed. dirs is (M, 3)."""
-    c, s = np.cos(-box.yaw), np.sin(-box.yaw)
-    rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    o = rot @ (origin - box.center)
-    d = dirs @ rot.T
+    o = box.to_box_frame(origin - box.center)
+    d = box.to_box_frame(dirs)
     d = np.where(np.abs(d) < 1e-300, 1e-300, d)
     t1 = (-box.half_extents - o) / d
     t2 = (box.half_extents - o) / d

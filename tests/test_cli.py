@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 
-from derainkit import fileio
+from derainkit import builtin_scene, fileio
 from derainkit.cli import run, stage_seed
 
 
@@ -50,6 +50,17 @@ def test_simulate_nan_calibration_exits_one(tmp_path, capsys):
                 "--out", str(tmp_path / "sim")])
     assert code == 1
     assert "elevations" in capsys.readouterr().err
+    assert not (tmp_path / "sim").exists()
+
+
+def test_simulate_bad_scene_exits_one(tmp_path, capsys):
+    scene = tmp_path / "bad.json"
+    text = fileio.write_scene_json(builtin_scene("corridor"))
+    scene.write_text(text.replace('"reflectance": 0.5', '"reflectance": 5.0', 1))
+    code = run(["simulate", "--scene", str(scene), "--rate", "10",
+                "--out", str(tmp_path / "sim")])
+    assert code == 1
+    assert "reflectance" in capsys.readouterr().err
     assert not (tmp_path / "sim").exists()
 
 
@@ -174,3 +185,22 @@ def test_bench_and_tune_cli(tmp_path, capsys):
                 "--trials", "5", "--seed", "1", "--out", str(best)]) == 0
     params = fileio.read_filter_params_json(best.read_text())
     assert type(params).__name__ == "Dsor"
+
+
+def test_bench_rejects_names_its_csv_cannot_hold(tmp_path, capsys):
+    data = bench_dataset(tmp_path)
+    params = {"kind": "ror", "radius": 0.5, "min_neighbors": 4}
+    filters = tmp_path / "filters.json"
+    results = tmp_path / "results.csv"
+    for name in ("a,b", "x\ny", 5, None):
+        filters.write_text(json.dumps([{"name": name, "params": params}]))
+        assert run(["bench", "--data", str(data), "--filters", str(filters),
+                    "--out", str(results)]) == 1
+        assert "error" in capsys.readouterr().err
+        assert not results.exists()
+    filters.write_text(json.dumps([{"name": "ror", "params": params}]))
+    (data / "heavy").rename(data / "heavy,wet")
+    assert run(["bench", "--data", str(data), "--filters", str(filters),
+                "--out", str(results)]) == 1
+    assert "heavy,wet" in capsys.readouterr().err
+    assert not results.exists()

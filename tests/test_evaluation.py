@@ -4,9 +4,12 @@ from scipy.spatial import cKDTree
 
 from derainkit import (
     ConfusionCounts,
+    Dror,
     Dsor,
     LabelSet,
     PointCloud,
+    Ror,
+    Sor,
     benchmark_run,
     confusion,
     derive_metrics,
@@ -148,6 +151,31 @@ def test_one_tree_per_cloud_across_tuning_and_benchmark(monkeypatch):
     clouds = [cloud for cloud, _, _ in dataset if cloud.count]
     assert len(built) == len(clouds)
     assert sorted(map(id, built)) == sorted(id(cloud.coords) for cloud in clouds)
+
+
+def test_defaults_and_search_spaces_pinned():
+    """The tables derived from the params classes keep their values and key order."""
+    spaces = {
+        "ror": {"radius": ("log", 0.05, 2.0), "min_neighbors": ("int", 1, 20)},
+        "sor": {"k": ("int", 2, 30), "s": ("lin", 0.0, 3.0)},
+        "dror": {
+            "alpha": ("log", 1e-3, 0.1),
+            "beta": ("lin", 1.0, 5.0),
+            "k_min": ("int", 1, 20),
+            "sr_min": ("lin", 0.01, 0.5),
+        },
+        "dsor": {"k": ("int", 2, 30), "s": ("lin", 0.0, 2.0), "r": ("log", 0.01, 1.0)},
+    }
+    defaults = {
+        "ror": Ror(radius=0.5, min_neighbors=5),
+        "sor": Sor(k=5, s=1.0),
+        "dror": Dror(alpha=0.01, beta=3.0, k_min=3, sr_min=0.04),
+        "dsor": Dsor(k=5, s=1.0, r=0.05),
+    }
+    assert DEFAULT_SEARCH_SPACES == spaces and DEFAULT_PARAMS == defaults
+    assert list(DEFAULT_SEARCH_SPACES) == list(spaces) == list(DEFAULT_PARAMS)
+    for kind, space in spaces.items():
+        assert list(DEFAULT_SEARCH_SPACES[kind]) == list(space)
 
 
 def test_tune_single_trial_returns_candidate():

@@ -12,12 +12,13 @@ from derainkit.errors import (
     InvalidClassError,
     InvalidInputError,
     InvalidMaskByteError,
+    InvalidSpecError,
     NonFiniteCoordinateError,
     SchemaError,
     TruncatedFileError,
 )
 from derainkit.evaluation import BenchmarkRow, MetricReport
-from derainkit.filters import Dsor, Ror
+from derainkit.filters import DEFAULT_PARAMS, Dsor, Ror
 from derainkit.rainsim import RainConfig
 
 
@@ -129,6 +130,20 @@ def test_scene_json_bad_box_path():
     assert "road_polygon" in str(err.value)
 
 
+@pytest.mark.parametrize("old, new", [
+    ('"reflectance": 0.55', '"reflectance": NaN'), ('"reflectance": 0.55', '"reflectance": 5.0'),
+    ('"ground_reflectance": 0.3', '"ground_reflectance": 7.0'), ('"yaw": 0.15', '"yaw": NaN'),
+    ('"center": [\n        10.0', '"center": [\n        NaN'),
+    ('"half_extents": [\n        2.2', '"half_extents": [\n        Infinity'),
+    ('"offset": 0.0', '"offset": NaN'),
+])
+def test_scene_json_bad_values_rejected(old, new):
+    text = fileio.write_scene_json(builtin_scene("rehearse-like"))
+    assert old in text
+    with pytest.raises(InvalidSpecError):
+        fileio.read_scene_json(text.replace(old, new, 1))
+
+
 def test_annotation_json_round_trip():
     ann = annotation_scene_from_spec(builtin_scene("rehearse-like"), margin=0.05,
                                      sensor_height=2.0)
@@ -171,9 +186,44 @@ def test_rain_config_json_round_trip():
 
 
 def test_filter_params_json_round_trip():
-    for params in (Ror(0.5, 3), Dsor(5, 0.2, 0.05)):
+    for params in (Ror(0.5, 3), Dsor(5, 0.2, 0.05), *DEFAULT_PARAMS.values()):
         back = fileio.read_filter_params_json(fileio.write_filter_params_json(params))
         assert back == params
+
+
+def test_filter_params_json_layout():
+    """Fields in declaration order, integer counts written as JSON integers."""
+    expected = {
+        "ror": '{\n  "kind": "ror",\n  "radius": 0.5,\n  "min_neighbors": 5\n}',
+        "sor": '{\n  "kind": "sor",\n  "k": 5,\n  "s": 1.0\n}',
+        "dror": ('{\n  "kind": "dror",\n  "alpha": 0.01,\n  "beta": 3.0,\n  "k_min": 3,\n'
+                 '  "sr_min": 0.04\n}'),
+        "dsor": '{\n  "kind": "dsor",\n  "k": 5,\n  "s": 1.0,\n  "r": 0.05\n}',
+    }
+    for kind, params in DEFAULT_PARAMS.items():
+        assert fileio.write_filter_params_json(params) == expected[kind]
+
+
+def test_filter_list_json():
+    entries = [{"name": kind, "params": json.loads(fileio.write_filter_params_json(p))}
+               for kind, p in DEFAULT_PARAMS.items()]
+    assert fileio.read_filter_list_json(json.dumps(entries)) == list(DEFAULT_PARAMS.items())
+    assert fileio.read_filter_list_json("[]") == []
+    good = entries[0]
+    for bad, path in (({"a": good}, "/"), ([good, {"params": good["params"]}], "/1/name"),
+                      ([{"name": 5, "params": good["params"]}], "/0/name"),
+                      ([{"name": "", "params": good["params"]}], "/0/name"),
+                      ([good, {"name": "x"}], "/1/params"), (["ror"], "/0/name"),
+                      ([{"name": "x", "params": [1]}], "/0/params"),
+                      ([{"name": "x", "params": {"kind": "ror", "radius": 0.5}}],
+                       "/0/params/min_neighbors"),
+                      ([{"name": "x", "params": {"kind": "magic"}}], "/0/params/kind")):
+        with pytest.raises(SchemaError) as err:
+            fileio.read_filter_list_json(json.dumps(bad))
+        assert err.value.path == path
+    with pytest.raises(InvalidInputError):
+        fileio.read_filter_list_json(json.dumps(
+            [{"name": "x", "params": {"kind": "sor", "k": 5, "s": -1.0}}]))
 
 
 def test_filter_params_integer_fields_reject_fractions():
@@ -221,6 +271,16 @@ def test_results_csv_round_trip():
     assert fileio.write_results_csv(back) == text
 
 
+def test_results_csv_rejects_cells_it_cannot_read_back():
+    report = MetricReport(0.5, 0.5, 0.5, 1 / 3, 1.0)
+    for name, density in (("a,b", "heavy"), ("x\ny", "heavy"), ("x\ry", "heavy"),
+                          ("x\u2028y", "heavy"), ("dsor", "a,b"), ("dsor", "a\nb")):
+        with pytest.raises(SchemaError):
+            fileio.write_results_csv([BenchmarkRow(name, density, report)])
+    text = fileio.write_results_csv([BenchmarkRow("d sor;1", "heavy rain", report)])
+    assert [r.filter_name for r in fileio.read_results_csv(text)] == ["d sor;1"]
+
+
 def test_results_csv_bad_header():
     with pytest.raises(SchemaError):
         fileio.read_results_csv("bogus,header\n")
@@ -228,7 +288,8 @@ def test_results_csv_bad_header():
 
 def test_invalid_json_is_schema_error():
     for reader in (fileio.read_scene_json, fileio.read_annotation_json,
-                   fileio.read_calibration_json, fileio.read_filter_params_json):
+                   fileio.read_calibration_json, fileio.read_filter_params_json,
+                   fileio.read_filter_list_json):
         with pytest.raises(SchemaError):
             reader("{not json")
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from derainkit import (
     Dror,
@@ -10,13 +11,9 @@ from derainkit import (
     apply_filter,
     brute_force_mask,
     build_index,
-    dror,
-    dsor,
-    ror,
-    sor,
 )
 from derainkit.core import empty_cloud
-from derainkit.filters import SpatialIndex
+from derainkit.filters import DEFAULT_PARAMS, KINDS, SpatialIndex
 from derainkit.errors import (
     EmptyIndexError,
     InvalidInputError,
@@ -33,7 +30,7 @@ def random_cloud(n, seed, spread=5.0):
 def test_index_empty_cloud_queries_error():
     index = build_index(empty_cloud())
     with pytest.raises(EmptyIndexError):
-        index.radius_counts(1.0)
+        index.knn_dists(1)
 
 
 def test_empty_cloud_gives_empty_mask_for_every_filter():
@@ -51,16 +48,16 @@ def tied_cloud(seed, decimals):
 
 
 def test_knn_table_matches_fresh_query():
-    """Cached kNN means equal a fresh index's, whatever k was asked first."""
+    """Means of the cached kNN table equal a fresh index's, whatever k was asked first."""
     ks = range(1, 31)
     for seed in range(10):
         for decimals in (0, 1, 2):
             cloud = tied_cloud(seed, decimals)
-            fresh = {k: build_index(cloud).knn_mean_dists(k) for k in ks}
+            fresh = {k: build_index(cloud).knn_dists(k).mean(axis=1) for k in ks}
             for order in (ks, reversed(ks)):
                 index = build_index(cloud)
                 for k in order:
-                    np.testing.assert_array_equal(index.knn_mean_dists(k), fresh[k])
+                    np.testing.assert_array_equal(index.knn_dists(k).mean(axis=1), fresh[k])
 
 
 def test_cloud_table_equals_fresh_index_in_any_order():
@@ -90,7 +87,10 @@ def test_knn_table_sorted_padded_and_counts_radius():
             rng = np.random.default_rng(seed)
             # midway between two distinct pairwise distances: on no boundary
             radii = [(levels[i] + levels[i + 1]) / 2 for i in rng.choice(gaps, 3)]
-            counts = {r: build_index(cloud).radius_counts(r) for r in radii}
+            tree = cKDTree(cloud.coords)
+            # self sits at distance 0, inside every ball
+            counts = {r: tree.query_ball_point(cloud.coords, r, return_length=True) - 1
+                      for r in radii}
             fresh = {m: build_index(cloud).knn_dists(m) for m in ms}
             for order in (ms, reversed(ms)):
                 index = build_index(cloud)
@@ -104,7 +104,7 @@ def test_knn_table_sorted_padded_and_counts_radius():
         table = build_index(random_cloud(n, n)).knn_dists(8)
         assert table.shape == (n, 8)
         assert np.isfinite(table[:, :n - 1]).all() and np.isinf(table[:, n - 1:]).all()
-        assert not ror(random_cloud(n, n), Ror(100.0, n)).any()
+        assert not apply_filter(random_cloud(n, n), Ror(100.0, n)).any()
 
 
 @pytest.mark.parametrize("decimals", [None, 1])
@@ -146,54 +146,75 @@ def test_radius_params_must_be_finite():
                 make(bad)
 
 
+def test_mean_params_must_be_finite():
+    for make in (lambda v: Sor(5, v), lambda v: Dsor(5, v, 0.05), lambda v: Dsor(5, 1.0, v)):
+        for bad in (np.inf, np.nan):
+            with pytest.raises(InvalidInputError):
+                make(bad)
+
+
+def test_bounds_hand_case():
+    """Each kind's bound is its paper definition, which the oracle takes as given."""
+    cloud = PointCloud([[3.0, 4.0, 0.0], [0.0, 0.0, 10.0]], [0.5, 0.5])  # ranges 5 and 10
+    d = np.array([1.0, 3.0])  # mean 2, population std 1
+    assert Ror(0.7, 2).bound(cloud) == 0.7
+    np.testing.assert_array_equal(Dror(0.01, 3.0, 1, 0.2).bound(cloud), [0.2, 0.3])
+    assert Sor(1, 1.5).bound(cloud, d) == 3.5
+    np.testing.assert_array_equal(Dsor(1, 1.5, 0.1).bound(cloud, d),
+                                  [3.5 * 0.1 * 5, 3.5 * 0.1 * 10])
+
+
+def test_kinds_registry():
+    assert list(KINDS) == ["ror", "sor", "dror", "dsor"]
+    assert list(KINDS.values()) == [Ror, Sor, Dror, Dsor]
+    for kind, cls in KINDS.items():
+        params = DEFAULT_PARAMS[kind]
+        assert type(params) is cls and cls.count in cls.space
+        assert isinstance(getattr(params, cls.count), int)
+
+
+def test_unknown_params_rejected():
+    with pytest.raises(InvalidInputError):
+        apply_filter(random_cloud(5, 0), object())
+
+
 def test_index_single_point_self_excluded():
     index = build_index(PointCloud([[0, 0, 0]], [0.5]))
-    assert index.radius_counts(100.0)[0] == 0
-
-
-def test_index_counts_match_brute_force():
-    cloud = random_cloud(500, 0)
-    index = build_index(cloud)
-    diff = cloud.coords[:, None] - cloud.coords[None]
-    dist = np.sqrt((diff ** 2).sum(axis=2))
-    np.fill_diagonal(dist, np.inf)
-    for radius in (0.5, 1.5, 3.0):
-        np.testing.assert_array_equal(index.radius_counts(radius),
-                                      (dist <= radius).sum(axis=1))
+    assert index.knn_dists(1)[0, 0] == np.inf
 
 
 def test_ror_zero_threshold_keeps_all():
     cloud = random_cloud(50, 1)
-    assert ror(cloud, Ror(0.1, 0)).all()
+    assert apply_filter(cloud, Ror(0.1, 0)).all()
 
 
 def test_ror_hand_case():
     cloud = PointCloud([[0, 0, 0], [0.1, 0, 0], [5, 0, 0]], [0.5] * 3)
-    np.testing.assert_array_equal(ror(cloud, Ror(0.5, 1)), [True, True, False])
+    np.testing.assert_array_equal(apply_filter(cloud, Ror(0.5, 1)), [True, True, False])
 
 
 def test_ror_empty():
-    assert ror(empty_cloud(), Ror(1.0, 1)).shape == (0,)
+    assert apply_filter(empty_cloud(), Ror(1.0, 1)).shape == (0,)
 
 
 def test_sor_hand_case():
     cloud = PointCloud([[0, 0, 0], [1, 0, 0], [10, 0, 0]], [0.5] * 3)
     # d = [1, 1, 9], mean = 11/3; with s = 0 the far point falls out
-    np.testing.assert_array_equal(sor(cloud, Sor(1, 0.0)), [True, True, False])
+    np.testing.assert_array_equal(apply_filter(cloud, Sor(1, 0.0)), [True, True, False])
 
 
 def test_sor_too_few_points():
     with pytest.raises(TooFewPointsError):
-        sor(random_cloud(3, 2), Sor(5, 1.0))
+        apply_filter(random_cloud(3, 2), Sor(5, 1.0))
 
 
 def test_sor_large_s_keeps_all():
     cloud = random_cloud(100, 3)
-    assert sor(cloud, Sor(4, 100.0)).all()
+    assert apply_filter(cloud, Sor(4, 100.0)).all()
 
 
 def test_dror_zero_threshold_keeps_all():
-    assert dror(random_cloud(40, 4), Dror(0.01, 3.0, 0, 0.04)).all()
+    assert apply_filter(random_cloud(40, 4), Dror(0.01, 3.0, 0, 0.04)).all()
 
 
 def test_dror_far_pair_kept_near_pair_removed():
@@ -201,10 +222,10 @@ def test_dror_far_pair_kept_near_pair_removed():
     far = PointCloud(np.stack([direction * 20.0, direction * 20.0 + [0, 0.2, 0]]), [0.5] * 2)
     params = Dror(alpha=0.01, beta=2.0, k_min=1, sr_min=0.04)
     # sr at 20 m = 0.4 > 0.2 separation
-    assert dror(far, params).all()
+    assert apply_filter(far, params).all()
     near = PointCloud(np.stack([direction * 1.0, direction * 1.0 + [0, 0.2, 0]]), [0.5] * 2)
     # sr at 1 m = max(0.04, 0.02) = 0.04 < 0.2 separation
-    assert not dror(near, params).any()
+    assert not apply_filter(near, params).any()
 
 
 def test_dsor_reduces_to_sor_at_uniform_range():
@@ -213,12 +234,13 @@ def test_dsor_reduces_to_sor_at_uniform_range():
     direction = rng.normal(size=(60, 3))
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)
     cloud = PointCloud(direction * 10.0, rng.uniform(0, 1, 60))
-    np.testing.assert_array_equal(dsor(cloud, Dsor(3, 0.5, 0.1)), sor(cloud, Sor(3, 0.5)))
+    np.testing.assert_array_equal(apply_filter(cloud, Dsor(3, 0.5, 0.1)),
+                                  apply_filter(cloud, Sor(3, 0.5)))
 
 
 def test_dsor_large_r_keeps_all():
     cloud = random_cloud(80, 6)
-    assert dsor(cloud, Dsor(3, 0.0, 1e6)).all()
+    assert apply_filter(cloud, Dsor(3, 0.0, 1e6)).all()
 
 
 def test_dsor_spares_far_sparse_point():
@@ -227,8 +249,8 @@ def test_dsor_spares_far_sparse_point():
     far_lone = np.array([[40.0, 0.0, 0.0], [40.0, 1.2, 0.0]])
     cloud = PointCloud(np.vstack([near_cluster, far_lone]), np.full(42, 0.5))
     k, s = 3, 0.0
-    sor_mask = sor(cloud, Sor(k, s))
-    dsor_mask = dsor(cloud, Dsor(k, s, 1.0))
+    sor_mask = apply_filter(cloud, Sor(k, s))
+    dsor_mask = apply_filter(cloud, Dsor(k, s, 1.0))
     assert not sor_mask[40] and not sor_mask[41]
     assert dsor_mask[40] and dsor_mask[41]
     np.testing.assert_array_equal(dsor_mask, brute_force_mask(cloud, Dsor(k, s, 1.0)))
@@ -262,16 +284,15 @@ def test_oracle_equivalence_sample(seed):
     rng = np.random.default_rng(seed)
     cloud = random_cloud(int(rng.integers(50, 500)), seed + 1000)
     params = random_params(rng)
-    from derainkit import apply_filter
     np.testing.assert_array_equal(apply_filter(cloud, params),
                                   brute_force_mask(cloud, params))
 
 
 def test_ror_monotone_in_min_neighbors():
     cloud = random_cloud(200, 12)
-    previous = ror(cloud, Ror(1.0, 0))
+    previous = apply_filter(cloud, Ror(1.0, 0))
     for m in range(1, 8):
-        current = ror(cloud, Ror(1.0, m))
+        current = apply_filter(cloud, Ror(1.0, m))
         assert not (current & ~previous).any()
         previous = current
 
@@ -282,6 +303,5 @@ def test_order_equivariance():
     perm = rng.permutation(cloud.count)
     shuffled = PointCloud(cloud.coords[perm], cloud.intensity[perm])
     for params in (Ror(1.0, 2), Sor(4, 0.8), Dror(0.02, 2.0, 2, 0.05), Dsor(4, 0.8, 0.2)):
-        from derainkit import apply_filter
-        np.testing.assert_array_equal(apply_filter(shuffled, params),
+            np.testing.assert_array_equal(apply_filter(shuffled, params),
                                       apply_filter(cloud, params)[perm])

@@ -246,8 +246,9 @@ def test_oracle_matches_intersect_beam():
     dirs = beam_directions(calib).reshape(-1, 3)
     limits = beam_limits(grid, calib)
     for b, d in enumerate(dirs):
-        ts = [t for drop in field
-              if (t := intersect_beam([0, 0, 0], d, drop, config.beam_divergence)) is not None
+        ts = [t for c, dia in zip(field.centers, field.diameters)
+              if (t := intersect_beam([0, 0, 0], d, RainDrop(c, float(dia)),
+                                      config.beam_divergence)) is not None
               and calib.r_min <= t < limits[b]]
         assert first[b] == (min(ts) if ts else np.inf)
     assert np.isfinite(first).sum() >= 10

@@ -101,6 +101,42 @@ def test_invalid_spec_rejected():
         raycast_scene(bowtie, single_beam_calib(-0.3))
 
 
+BOX = dict(center=(5.0, 0.0, 1.0), half_extents=(1.0, 1.0, 1.0), yaw=0.2, class_id=3,
+           reflectance=0.5)
+SPEC = dict(ground_normal=(0, 0, 1), ground_offset=0.0,
+            road_polygon=[(0, 0), (1, 0), (1, 1)], ground_reflectance=0.3)
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("center", (NAN, 0.0, 1.0)), ("center", (0.0, INF, 1.0)), ("half_extents", (1.0, INF, 1.0)),
+    ("half_extents", (NAN, 1.0, 1.0)), ("yaw", NAN), ("yaw", INF),
+    ("reflectance", NAN), ("reflectance", 5.0), ("reflectance", -0.1),
+])
+def test_box_rejects_bad_values(field, bad):
+    with pytest.raises(InvalidSpecError):
+        OrientedBox(**{**BOX, field: bad})
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("ground_offset", NAN), ("ground_offset", INF), ("ground_normal", (0.0, NAN, 1.0)),
+    ("ground_normal", (0.0, 0.0, INF)), ("ground_reflectance", 7.0),
+    ("ground_reflectance", NAN), ("ground_reflectance", -1.0),
+])
+def test_scene_spec_rejects_bad_values(field, bad):
+    with pytest.raises(InvalidSpecError):
+        SceneSpec(**{**SPEC, field: bad})
+
+
+def test_box_frame_is_the_yaw_rotation():
+    """to_box_frame rotates by -yaw about z: the box's +x axis maps to (1, 0, 0)."""
+    box = OrientedBox(**BOX)
+    axis = np.array([np.cos(box.yaw), np.sin(box.yaw), 0.5])
+    np.testing.assert_allclose(box.to_box_frame(axis), [1.0, 0.0, 0.5], atol=1e-15)
+    np.testing.assert_allclose(box.to_box_frame(np.stack([axis, -axis])),
+                               [[1.0, 0.0, 0.5], [-1.0, 0.0, -0.5]], atol=1e-15)
+
+
 def test_points_in_polygon_rules():
     square = [(0, 0), (1, 0), (1, 1), (0, 1)]
     assert points_in_polygon([[0.5, 0.5]], square)[0]
