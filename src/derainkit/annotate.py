@@ -9,7 +9,8 @@ aligned.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -18,6 +19,7 @@ from .core import BACKGROUND, RAIN, ROAD, SPRINKLER, LabelSet, PointCloud, valid
 from .errors import (
     DegeneratePolygonError,
     EmptySourceError,
+    InvalidInputError,
     NoValidHypothesisError,
     TooFewPointsError,
 )
@@ -43,9 +45,9 @@ class PlaneModel:
 class AnnotationScene:
     """Hand-drawn annotation geometry: labeled boxes plus the 2D road polygon."""
 
-    sprinkler_boxes: tuple
-    object_boxes: tuple
-    road_polygon: np.ndarray
+    sprinkler_boxes: tuple = field(metadata={"item": OrientedBox})
+    object_boxes: tuple = field(metadata={"item": OrientedBox})
+    road_polygon: np.ndarray = field(metadata={"shape": (-1, 2)})
 
     def __post_init__(self):
         object.__setattr__(self, "sprinkler_boxes", tuple(self.sprinkler_boxes))
@@ -53,13 +55,23 @@ class AnnotationScene:
         object.__setattr__(
             self, "road_polygon", np.asarray(self.road_polygon, dtype=np.float64).reshape(-1, 2)
         )
+        if self.road_polygon.shape[0] < 3 or not np.isfinite(self.road_polygon).all():
+            raise DegeneratePolygonError("road polygon needs at least 3 vertices, all finite")
 
 
 @dataclass(frozen=True)
 class RansacConfig:
+    """iterations an integer >= 1, inlier_threshold (m) positive and finite."""
+
     iterations: int = 200
     inlier_threshold: float = 0.05
     seed: int = 0
+
+    def __post_init__(self):
+        if not (isinstance(self.iterations, (int, np.integer)) and self.iterations >= 1):
+            raise InvalidInputError("iterations must be an integer >= 1")
+        if not 0 < self.inlier_threshold < math.inf:
+            raise InvalidInputError("inlier_threshold must be positive and finite")
 
 
 def ransac_plane(cloud: PointCloud, iterations: int, inlier_threshold: float,
@@ -69,11 +81,10 @@ def ransac_plane(cloud: PointCloud, iterations: int, inlier_threshold: float,
     Degenerate (collinear) samples are skipped but still count against the
     iteration budget. Deterministic for a fixed seed.
     """
+    RansacConfig(iterations, inlier_threshold, seed)  # checks the three values
     validate_cloud(cloud)
     if cloud.count < 3:
         raise TooFewPointsError(f"plane fit needs >= 3 points, have {cloud.count}")
-    if iterations < 1 or not inlier_threshold > 0:
-        raise TooFewPointsError("need iterations >= 1 and a positive threshold")
 
     coords = cloud.coords
     rng = np.random.default_rng(seed)
@@ -144,8 +155,6 @@ def auto_annotate(
 ) -> LabelSet:
     """Label a cloud by elimination against the fitted road plane and scene boxes."""
     validate_cloud(cloud)
-    if scene.road_polygon.shape[0] < 3:
-        raise DegeneratePolygonError("road polygon needs at least 3 vertices")
     plane = ransac_plane(cloud, ransac.iterations, ransac.inlier_threshold, ransac.seed)
     d = plane.signed_distance(cloud.coords)
 

@@ -7,6 +7,8 @@ satisfies iou = f1 / (2 - f1) whenever tp + fp + fn > 0.
 """
 from __future__ import annotations
 
+import dataclasses
+import math
 import time
 from dataclasses import dataclass
 
@@ -111,6 +113,17 @@ def benchmark_run(dataset, filters) -> list[BenchmarkRow]:
 DEFAULT_SEARCH_SPACES = {kind: cls.space for kind, cls in KINDS.items()}
 
 
+def _check_space(kind: str, space: dict) -> None:
+    """A space names exactly the kind's fields, each with finite low <= high, log ones > 0."""
+    names = [f.name for f in dataclasses.fields(KINDS[kind])]
+    if set(space) != set(names):
+        raise EmptySearchSpaceError(f"search space must name exactly {names}, got {list(space)}")
+    for name, (dist, low, high) in space.items():
+        if (dist not in ("lin", "log", "int") or not (math.isfinite(low) and math.isfinite(high))
+                or low > high or (dist == "log" and low <= 0)):
+            raise EmptySearchSpaceError(f"bad search range for {name}: {(dist, low, high)}")
+
+
 def _sample_params(kind: str, space: dict, rng: np.random.Generator) -> FilterParams:
     values = {}
     for name, (dist, low, high) in space.items():
@@ -151,6 +164,7 @@ def tune_filter(
     evaluates n_trials independently sampled parameter vectors; ties keep the
     earliest trial. Fully determined by seed. Each sampled cloud's kNN table
     is warmed once at the space's largest neighbor count, so trials only read it.
+    A custom search_space is checked before any draw (``EmptySearchSpaceError``).
     """
     dataset = list(dataset)
     if not dataset:
@@ -158,8 +172,7 @@ def tune_filter(
     if kind not in KINDS:
         raise EmptySearchSpaceError(f"unknown filter kind {kind!r}")
     space = DEFAULT_SEARCH_SPACES[kind] if search_space is None else search_space
-    if not space:
-        raise EmptySearchSpaceError("search space is empty")
+    _check_space(kind, space)
     if n_trials < 1:
         raise EmptySearchSpaceError("n_trials must be >= 1")
 
@@ -167,8 +180,7 @@ def tune_filter(
     take = min(n_samples, len(dataset))
     subset_idx = rng.choice(len(dataset), size=take, replace=False)
     subset = [dataset[i] for i in subset_idx]
-    count = KINDS[kind].count
-    _warm([cloud for cloud, _ in subset], int(space[count][2]) if count in space else 0)
+    _warm([cloud for cloud, _ in subset], int(space[KINDS[kind].count][2]))
 
     best_params = None
     best_f1 = -1.0

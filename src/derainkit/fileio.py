@@ -3,8 +3,16 @@
 .bin    little-endian float32 quadruplets (x, y, z, intensity), 16 B/point
 .label  little-endian uint32 per point, low 16 bits class id, high 16 reserved
 .mask   one byte per point, 1 = keep, 0 = removed; any other byte is an error
-.json   scenes, calibrations, rain configs, filter params, filter lists
+.json   scenes, annotation scenes, calibrations, rain configs, filter params, filter lists
 .csv    benchmark results, percent values at 2 decimals, integer ms
+
+A config JSON object lists its dataclass's fields in declaration order, written
+by ``_encode`` and read by ``_decode`` from each field's declared type: float is
+any JSON number but a boolean, int an integral number, an array nested lists of
+numbers in the field's ``shape`` metadata, a tuple a list of ``item`` objects.
+A scene nests its ground normal and offset under "ground_plane"; a filter
+object leads with its "kind". Readers check JSON types only: each value is
+checked by the constructor it is handed to.
 
 Readers map every malformed input to a typed error; they never crash on
 arbitrary bytes.
@@ -26,7 +34,7 @@ from .errors import (
 from .evaluation import BenchmarkRow, MetricReport
 from .filters import KINDS, FilterParams
 from .rainsim import RainConfig
-from .scene import OrientedBox, SceneSpec, validate_scene
+from .scene import SceneSpec, validate_scene
 from .annotate import AnnotationScene
 
 RESULTS_COLUMNS = ("filter", "rain_density", "precision", "recall", "f1", "rain_iou", "time_ms")
@@ -76,7 +84,7 @@ def read_mask(data: bytes) -> np.ndarray:
     return raw.astype(bool)
 
 
-# ---------------------------------------------------------------- json helpers
+# ---------------------------------------------------------------- json schema
 
 def _get(obj, key, path, kind=None):
     if not isinstance(obj, dict) or key not in obj:
@@ -87,30 +95,64 @@ def _get(obj, key, path, kind=None):
     return value
 
 
-def _number(obj, key, path) -> float:
-    value = _get(obj, key, path)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{path}/{key}", "expected number")
-    return float(value)
+def _number(value, path) -> float:
+    """A JSON number as a float; booleans and integers too large for a float are errors."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise SchemaError(path, "expected number")
 
 
-def _integer(obj, key, path) -> int:
+def _integer(value, path) -> int:
     """An integral JSON number; 3.0 reads as 3, 2.7 is an error, never truncated."""
-    value = _get(obj, key, path)
     if isinstance(value, float) and value.is_integer():
         return int(value)
     if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{path}/{key}", "expected integer")
+        raise SchemaError(path, "expected integer")
     return value
 
 
-def _vector(obj, key, path, length=None) -> list:
-    """A list of JSON numbers, of the given length if one is given."""
-    value = _get(obj, key, path, list)
-    if ((length is not None and len(value) != length)
-            or not all(isinstance(x, (int, float)) for x in value)):
-        raise SchemaError(f"{path}/{key}", f"expected {length or 'a list of'} numbers")
-    return [float(x) for x in value]
+def _vector(value, path, shape=(-1,)) -> list:
+    """Nested lists of JSON numbers in the given shape; -1 is any length."""
+    if not isinstance(value, list) or shape[0] not in (-1, len(value)):
+        raise SchemaError(path, f"expected a {shape} array of numbers")
+    if len(shape) > 1:
+        return [_vector(row, f"{path}/{i}", shape[1:]) for i, row in enumerate(value)]
+    return [_number(x, path) for x in value]
+
+
+def _decode(cls, obj, path, **given):
+    """cls from a JSON object holding its fields, each read by its declared type.
+
+    Array fields take their shape from the field's ``shape`` metadata, tuple
+    fields the class of their items from ``item``; fields in ``given`` are not read.
+    """
+    for f in (f for f in dataclasses.fields(cls) if f.name not in given):
+        at = f"{path}/{f.name}"
+        if f.type == "tuple":
+            items = enumerate(_get(obj, f.name, path, list))
+            given[f.name] = tuple(_decode(f.metadata["item"], x, f"{at}/{i}") for i, x in items)
+        elif f.type == "np.ndarray":
+            given[f.name] = _vector(_get(obj, f.name, path), at, f.metadata.get("shape", (-1,)))
+        else:
+            given[f.name] = {"float": _number, "int": _integer}[f.type](_get(obj, f.name, path), at)
+    return cls(**given)
+
+
+def _encode(obj):
+    """A dataclass as a dict of its fields in declaration order; tuples, arrays and numpy
+    scalars as JSON lists and numbers."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _encode(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, tuple):
+        return [_encode(x) for x in obj]
+    return obj.tolist() if isinstance(obj, (np.ndarray, np.generic)) else obj
+
+
+def _dump(obj) -> str:
+    return json.dumps(obj, indent=2)
 
 
 def _parse_json(text: str) -> dict:
@@ -120,161 +162,59 @@ def _parse_json(text: str) -> dict:
         raise SchemaError("/", f"invalid JSON: {exc.msg}") from exc
 
 
-def _parse_box(obj, path) -> OrientedBox:
-    return OrientedBox(
-        center=_vector(obj, "center", path, 3),
-        half_extents=_vector(obj, "half_extents", path, 3),
-        yaw=_number(obj, "yaw", path),
-        class_id=_integer(obj, "class_id", path),
-        reflectance=_number(obj, "reflectance", path),
-    )
-
-
-def _parse_polygon(obj, key, path) -> list:
-    poly = _get(obj, key, path, list)
-    if len(poly) < 3:
-        raise SchemaError(f"{path}/{key}", "need at least 3 vertices")
-    out = []
-    for i, vertex in enumerate(poly):
-        if not (isinstance(vertex, list) and len(vertex) == 2
-                and all(isinstance(x, (int, float)) for x in vertex)):
-            raise SchemaError(f"{path}/{key}/{i}", "expected [x, y]")
-        out.append([float(vertex[0]), float(vertex[1])])
-    return out
-
-
-def _box_to_json(box: OrientedBox) -> dict:
-    return {
-        "center": list(box.center),
-        "half_extents": list(box.half_extents),
-        "yaw": box.yaw,
-        "class_id": box.class_id,
-        "reflectance": box.reflectance,
-    }
-
-
-# ---------------------------------------------------------------- scenes
+# ---------------------------------------------------------------- config json
 
 def write_scene_json(spec: SceneSpec) -> str:
-    return json.dumps(
-        {
-            "ground_plane": {"normal": list(spec.ground_normal), "offset": spec.ground_offset},
-            "boxes": [_box_to_json(b) for b in spec.boxes],
-            "road_polygon": [list(v) for v in spec.road_polygon],
-            "ground_reflectance": spec.ground_reflectance,
-        },
-        indent=2,
-    )
+    obj = _encode(spec)
+    plane = {"normal": obj.pop("ground_normal"), "offset": obj.pop("ground_offset")}
+    return _dump({"ground_plane": plane, **obj})
 
 
 def read_scene_json(text: str) -> SceneSpec:
     obj = _parse_json(text)
     plane = _get(obj, "ground_plane", "", dict)
-    boxes = _get(obj, "boxes", "", list)
-    spec = SceneSpec(
-        ground_normal=_vector(plane, "normal", "/ground_plane", 3),
-        ground_offset=_number(plane, "offset", "/ground_plane"),
-        boxes=tuple(_parse_box(b, f"/boxes/{i}") for i, b in enumerate(boxes)),
-        road_polygon=_parse_polygon(obj, "road_polygon", ""),
-        ground_reflectance=_number(obj, "ground_reflectance", ""),
-    )
+    spec = _decode(SceneSpec, obj, "",
+                   ground_normal=_vector(_get(plane, "normal", "/ground_plane"),
+                                         "/ground_plane/normal", (3,)),
+                   ground_offset=_number(_get(plane, "offset", "/ground_plane"),
+                                         "/ground_plane/offset"))
     validate_scene(spec)
     return spec
 
 
 def write_annotation_json(scene: AnnotationScene) -> str:
-    return json.dumps(
-        {
-            "sprinkler_boxes": [_box_to_json(b) for b in scene.sprinkler_boxes],
-            "object_boxes": [_box_to_json(b) for b in scene.object_boxes],
-            "road_polygon": [list(v) for v in scene.road_polygon],
-        },
-        indent=2,
-    )
+    return _dump(_encode(scene))
 
 
 def read_annotation_json(text: str) -> AnnotationScene:
-    obj = _parse_json(text)
-    return AnnotationScene(
-        sprinkler_boxes=tuple(
-            _parse_box(b, f"/sprinkler_boxes/{i}")
-            for i, b in enumerate(_get(obj, "sprinkler_boxes", "", list))
-        ),
-        object_boxes=tuple(
-            _parse_box(b, f"/object_boxes/{i}")
-            for i, b in enumerate(_get(obj, "object_boxes", "", list))
-        ),
-        road_polygon=_parse_polygon(obj, "road_polygon", ""),
-    )
+    return _decode(AnnotationScene, _parse_json(text), "")
 
-
-# ---------------------------------------------------------------- calibration / configs
 
 def write_calibration_json(calib: SensorCalibration) -> str:
-    return json.dumps(
-        {
-            "elevations": list(calib.elevations),
-            "azimuths": list(calib.azimuths),
-            "r_max": calib.r_max,
-            "r_min": calib.r_min,
-            "sensor_height": calib.sensor_height,
-        },
-        indent=2,
-    )
+    return _dump(_encode(calib))
 
 
 def read_calibration_json(text: str) -> SensorCalibration:
-    obj = _parse_json(text)
-    return SensorCalibration(
-        elevations=np.asarray(_vector(obj, "elevations", ""), dtype=np.float64),
-        azimuths=np.asarray(_vector(obj, "azimuths", ""), dtype=np.float64),
-        r_max=_number(obj, "r_max", ""),
-        r_min=_number(obj, "r_min", ""),
-        sensor_height=_number(obj, "sensor_height", ""),
-    )
+    return _decode(SensorCalibration, _parse_json(text), "")
 
 
 def write_rain_config_json(config: RainConfig) -> str:
-    return json.dumps(
-        {
-            "rate": config.rate,
-            "d_min": config.d_min,
-            "d_max": config.d_max,
-            "n0": config.n0,
-            "beam_divergence": config.beam_divergence,
-            "rain_reflectance": config.rain_reflectance,
-            "seed": config.seed,
-        },
-        indent=2,
-    )
+    return _dump(_encode(config))
 
 
 def read_rain_config_json(text: str) -> RainConfig:
-    obj = _parse_json(text)
-    return RainConfig(
-        rate=_number(obj, "rate", ""),
-        d_min=_number(obj, "d_min", ""),
-        d_max=_number(obj, "d_max", ""),
-        n0=_number(obj, "n0", ""),
-        beam_divergence=_number(obj, "beam_divergence", ""),
-        rain_reflectance=_number(obj, "rain_reflectance", ""),
-        seed=_integer(obj, "seed", ""),
-    )
+    return _decode(RainConfig, _parse_json(text), "")
 
-
-# ---------------------------------------------------------------- filter params
 
 def write_filter_params_json(params: FilterParams) -> str:
-    fields = {f.name: getattr(params, f.name) for f in dataclasses.fields(params)}
-    return json.dumps({"kind": type(params).__name__.lower(), **fields}, indent=2)
+    return _dump({"kind": type(params).__name__.lower(), **_encode(params)})
 
 
 def _filter_params(obj, path) -> FilterParams:
     cls = KINDS.get(_get(obj, "kind", path, str))
     if cls is None:
         raise SchemaError(f"{path}/kind", f"unknown filter kind {obj['kind']!r}")
-    return cls(**{f.name: (_integer if f.type == "int" else _number)(obj, f.name, path)
-                  for f in dataclasses.fields(cls)})
+    return _decode(cls, obj, path)
 
 
 def read_filter_params_json(text: str) -> FilterParams:

@@ -49,7 +49,8 @@ class RainConfig:
     rate is in mm/h, positive and finite; d_min/d_max bound drop diameters in
     mm; n0 is the drop-size-distribution intercept in m^-3 mm^-1, positive and
     finite; beam_divergence is the beam half-angle in [0, pi/2) radians;
-    rain_reflectance is the intensity in [0, 1] written for rain returns.
+    rain_reflectance is the intensity in [0, 1] written for rain returns;
+    seed is an integer in [0, 2**128), the key of the Philox generator.
     """
 
     rate: float
@@ -71,6 +72,8 @@ class RainConfig:
             raise InvalidInputError("beam_divergence must lie in [0, pi/2)")
         if not 0 <= self.rain_reflectance <= 1:
             raise InvalidInputError("rain_reflectance must lie in [0, 1]")
+        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2 ** 128):
+            raise InvalidInputError("seed must be an integer in [0, 2**128)")
 
 
 @dataclass(frozen=True)

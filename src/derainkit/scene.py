@@ -18,6 +18,7 @@ import numpy as np
 
 from .core import (
     BACKGROUND,
+    NUM_CLASSES,
     BIKE,
     CAR,
     PEDESTRIAN,
@@ -37,8 +38,8 @@ BUILTIN_SCENE_NAMES = ("minimal", "corridor", "rehearse-like")
 class OrientedBox:
     """Axis-aligned box rotated by yaw about z: center (m), half extents (m)."""
 
-    center: np.ndarray
-    half_extents: np.ndarray
+    center: np.ndarray = field(metadata={"shape": (3,)})
+    half_extents: np.ndarray = field(metadata={"shape": (3,)})
     yaw: float
     class_id: int
     reflectance: float
@@ -48,9 +49,13 @@ class OrientedBox:
         object.__setattr__(
             self, "half_extents", np.asarray(self.half_extents, dtype=np.float64).reshape(3)
         )
-        if not all(map(math.isfinite, [*self.center.tolist(), *self.half_extents.tolist(),
-                                       self.yaw])):
+        half = self.half_extents.tolist()
+        if not all(map(math.isfinite, [*self.center.tolist(), *half, self.yaw])):
             raise InvalidSpecError("box center, half extents and yaw must be finite")
+        if not min(half) > 0:
+            raise InvalidSpecError("box half extents must be positive")
+        if not (isinstance(self.class_id, (int, np.integer)) and 0 <= self.class_id < NUM_CLASSES):
+            raise InvalidSpecError(f"box class_id must be an integer in [0, {NUM_CLASSES})")
         if not 0 <= self.reflectance <= 1:
             raise InvalidSpecError("box reflectance must be in [0, 1]")
 
@@ -68,10 +73,11 @@ class OrientedBox:
 class SceneSpec:
     """Parametric scene: ground plane, labeled boxes, road polygon."""
 
-    ground_normal: np.ndarray
+    ground_normal: np.ndarray = field(metadata={"shape": (3,)})
     ground_offset: float
-    boxes: tuple = ()
-    road_polygon: np.ndarray = field(default_factory=lambda: np.empty((0, 2)))
+    boxes: tuple = field(default=(), metadata={"item": OrientedBox})
+    road_polygon: np.ndarray = field(default_factory=lambda: np.empty((0, 2)),
+                                     metadata={"shape": (-1, 2)})
     ground_reflectance: float = 0.3
 
     def __post_init__(self):
@@ -79,7 +85,11 @@ class SceneSpec:
         if not all(map(math.isfinite, [*normal.tolist(), self.ground_offset])):
             raise InvalidSpecError("ground normal and offset must be finite")
         norm = np.linalg.norm(normal)
-        if norm > 0:
+        if not 1e-100 <= norm <= 1e100:  # outside, the squares under- or overflow
+            raise InvalidSpecError("ground normal length must lie in [1e-100, 1e100]")
+        # A normal of unit length within rounding is kept as it is, so normalizing a
+        # normalized spec changes nothing and its JSON round trip is exact.
+        if abs(norm - 1.0) > 1e-12:
             normal = normal / norm
         object.__setattr__(self, "ground_normal", normal)
         if not 0 <= self.ground_reflectance <= 1:
@@ -88,6 +98,8 @@ class SceneSpec:
         object.__setattr__(
             self, "road_polygon", np.asarray(self.road_polygon, dtype=np.float64).reshape(-1, 2)
         )
+        if not all(map(math.isfinite, self.road_polygon.ravel().tolist())):
+            raise InvalidSpecError("road polygon vertices must be finite")
 
 
 def _segments_intersect(p1, p2, p3, p4) -> bool:
@@ -116,9 +128,6 @@ def _polygon_is_simple(poly: np.ndarray) -> bool:
 def validate_scene(spec: SceneSpec) -> None:
     if spec.ground_normal[2] <= 0:
         raise InvalidSpecError("ground normal must have positive z component")
-    for i, box in enumerate(spec.boxes):
-        if np.any(box.half_extents <= 0):
-            raise InvalidSpecError(f"box {i} has non-positive half extents")
     if spec.road_polygon.shape[0] < 3:
         raise InvalidSpecError("road polygon needs at least 3 vertices")
     if not _polygon_is_simple(spec.road_polygon):

@@ -15,7 +15,13 @@ from derainkit import (
     transfer_labels,
 )
 from derainkit.core import BACKGROUND, RAIN, ROAD
-from derainkit.errors import EmptySourceError, TooFewPointsError
+from derainkit.errors import (
+    DegeneratePolygonError,
+    EmptySourceError,
+    InvalidInputError,
+    InvalidSpecError,
+    TooFewPointsError,
+)
 from derainkit.scene import OrientedBox
 
 SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
@@ -134,6 +140,31 @@ def test_annotation_scene_from_spec_splits_and_inflates():
     dst = next(b for b in ann.object_boxes if b.class_id == 3)
     np.testing.assert_allclose(dst.half_extents, src.half_extents + 0.1)
     np.testing.assert_allclose(dst.center, src.center + [0, 0, -2.0])
+
+
+def test_annotation_scene_from_spec_rejects_shrinking_boxes_away():
+    """A margin that leaves a box no volume is an error, not a silently dropped object."""
+    with pytest.raises(InvalidSpecError):
+        annotation_scene_from_spec(builtin_scene("rehearse-like"), margin=-1.0)
+
+
+def test_annotation_scene_needs_three_vertices():
+    for polygon in ([], [(0, 0), (1, 0)], [(0, 0), (1, 0), (float("nan"), 1)]):
+        with pytest.raises(DegeneratePolygonError):
+            AnnotationScene((), (), polygon)
+
+
+@pytest.mark.parametrize("bad", [
+    {"iterations": 0}, {"iterations": -3}, {"iterations": 2.5},
+    {"inlier_threshold": 0.0}, {"inlier_threshold": -0.1},
+    {"inlier_threshold": float("nan")}, {"inlier_threshold": float("inf")},
+    {"iterations": -3, "inlier_threshold": float("nan")},
+])
+def test_ransac_config_rejects_bad_values(bad):
+    with pytest.raises(InvalidInputError):
+        RansacConfig(**bad)
+    with pytest.raises(InvalidInputError):
+        ransac_plane(plane_cloud(10), **{"iterations": 5, "inlier_threshold": 0.1, **bad})
 
 
 def test_transfer_coincident_point():

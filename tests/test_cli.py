@@ -64,6 +64,18 @@ def test_simulate_bad_scene_exits_one(tmp_path, capsys):
     assert not (tmp_path / "sim").exists()
 
 
+def test_simulate_scene_box_class_out_of_range_exits_one(tmp_path, capsys):
+    """A box class that no label file can hold is refused before anything is written."""
+    scene = tmp_path / "class99.json"
+    text = fileio.write_scene_json(builtin_scene("corridor"))
+    scene.write_text(text.replace('"class_id": 7', '"class_id": 99', 1))
+    code = run(["simulate", "--scene", str(scene), "--rate", "10",
+                "--out", str(tmp_path / "sim")])
+    assert code == 1
+    assert "class_id" in capsys.readouterr().err
+    assert not (tmp_path / "sim").exists()
+
+
 def test_scene_command_round_trips(tmp_path, capsys):
     out = tmp_path / "scene.json"
     assert run(["scene", "--name", "minimal", "--out", str(out)]) == 0

@@ -18,7 +18,7 @@ from derainkit import (
     tune_filter,
 )
 from derainkit.core import RAIN, empty_cloud
-from derainkit.errors import EmptyDatasetError, LengthMismatchError
+from derainkit.errors import EmptyDatasetError, EmptySearchSpaceError, LengthMismatchError
 from derainkit.evaluation import DEFAULT_PARAMS, DEFAULT_SEARCH_SPACES, _sample_params, pooled_f1
 from derainkit import filters
 
@@ -176,6 +176,23 @@ def test_defaults_and_search_spaces_pinned():
     assert list(DEFAULT_SEARCH_SPACES) == list(spaces) == list(DEFAULT_PARAMS)
     for kind, space in spaces.items():
         assert list(DEFAULT_SEARCH_SPACES[kind]) == list(space)
+
+
+@pytest.mark.parametrize("space", [
+    {"radius": ("log", 0.1, 1.0)},  # a field missing
+    {"radius": ("log", 0.1, 1.0), "min_neighbors": ("int", 1, 5), "k": ("int", 1, 5)},  # extra
+    {"radius": ("gauss", 0.1, 1.0), "min_neighbors": ("int", 1, 5)},  # unknown distribution
+    {"radius": ("lin", 1.0, 0.1), "min_neighbors": ("int", 1, 5)},  # low > high
+    {"radius": ("log", 0.0, 1.0), "min_neighbors": ("int", 1, 5)},  # log of 0
+    {"radius": ("lin", 0.1, float("inf")), "min_neighbors": ("int", 1, 5)},
+    {"radius": ("lin", float("nan"), 1.0), "min_neighbors": ("int", 1, 5)},
+    {},
+], ids=["missing", "extra", "gauss", "low-above-high", "log-zero", "inf", "nan", "empty"])
+def test_tune_rejects_bad_search_space_before_drawing(space, monkeypatch):
+    data = pairs(rain_dataset(2, seed=6))
+    monkeypatch.setattr(np.random, "default_rng", None)  # no generator may be made
+    with pytest.raises(EmptySearchSpaceError):
+        tune_filter("ror", data, n_samples=2, n_trials=3, search_space=space)
 
 
 def test_tune_single_trial_returns_candidate():

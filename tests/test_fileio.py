@@ -5,9 +5,10 @@ import pytest
 
 from derainkit import LabelSet, PointCloud, builtin_scene, grid_calibration
 from derainkit import fileio
-from derainkit.annotate import annotation_scene_from_spec
+from derainkit.annotate import AnnotationScene, annotation_scene_from_spec
 from derainkit.core import empty_cloud
 from derainkit.errors import (
+    DegeneratePolygonError,
     IntensityOutOfRangeError,
     InvalidClassError,
     InvalidInputError,
@@ -20,6 +21,7 @@ from derainkit.errors import (
 from derainkit.evaluation import BenchmarkRow, MetricReport
 from derainkit.filters import DEFAULT_PARAMS, Dsor, Ror
 from derainkit.rainsim import RainConfig
+from derainkit.scene import OrientedBox, SceneSpec
 
 
 def test_cloud_round_trip_empty():
@@ -164,7 +166,8 @@ def test_calibration_json_non_number_angle_is_schema_error():
     text = fileio.write_calibration_json(grid_calibration(2, 3))
     obj = json.loads(text)
     for key, bad in (("elevations", ["a"]), ("azimuths", [0.1, None]),
-                     ("elevations", [[0.1], [0.2]]), ("azimuths", "0.1")):
+                     ("elevations", [[0.1], [0.2]]), ("azimuths", "0.1"),
+                     ("elevations", [False, True])):
         with pytest.raises(SchemaError) as err:
             fileio.read_calibration_json(json.dumps({**obj, key: bad}))
         assert err.value.path == f"/{key}"
@@ -202,6 +205,62 @@ def test_filter_params_json_layout():
     }
     for kind, params in DEFAULT_PARAMS.items():
         assert fileio.write_filter_params_json(params) == expected[kind]
+
+
+BOX_JSON = ('{"center": [1.0, 2.0, 0.5], "half_extents": [0.5, 0.25, 0.5], "yaw": 0.3, '
+            '"class_id": 3, "reflectance": 0.1}')
+POLYGON_JSON = "[[0.0, 0.0], [3.5, 0.0], [1.0, 2.0]]"
+
+
+def test_config_json_layouts():
+    """Each text is the indent-2 dump of an object whose compact form is pinned: fields
+    in declaration order, integers as JSON integers, the scene's plane nested."""
+    box = OrientedBox((1.0, 2.0, 0.5), (0.5, 0.25, 0.5), 0.3, 3, 0.1)
+    polygon = [(0, 0), (3.5, 0), (1, 2)]
+    expected = {
+        fileio.write_scene_json(SceneSpec((0, 0, 1), -0.5, (box,), polygon, 0.3)):
+            '{"ground_plane": {"normal": [0.0, 0.0, 1.0], "offset": -0.5}, '
+            f'"boxes": [{BOX_JSON}], "road_polygon": {POLYGON_JSON}, "ground_reflectance": 0.3}}',
+        fileio.write_annotation_json(AnnotationScene((), (box,), polygon)):
+            f'{{"sprinkler_boxes": [], "object_boxes": [{BOX_JSON}], "road_polygon": {POLYGON_JSON}}}',
+        fileio.write_calibration_json(grid_calibration(2, 2, r_max=10.0)):
+            '{"elevations": [-0.45, 0.05], "azimuths": [-0.8, 0.8], "r_max": 10.0, '
+            '"r_min": 0.5, "sensor_height": 2.0}',
+        fileio.write_rain_config_json(RainConfig(25.0, seed=7)):
+            '{"rate": 25.0, "d_min": 0.5, "d_max": 6.0, "n0": 8000.0, '
+            '"beam_divergence": 0.001, "rain_reflectance": 0.05, "seed": 7}',
+    }
+    for text, compact in expected.items():
+        assert json.dumps(json.loads(text)) == compact
+        assert text == json.dumps(json.loads(text), indent=2)
+
+
+def test_polygon_and_box_vectors_reject_booleans():
+    text = fileio.write_scene_json(builtin_scene("minimal"))
+    obj = json.loads(text)
+    obj["road_polygon"][1] = [True, 0.0]
+    with pytest.raises(SchemaError) as err:
+        fileio.read_scene_json(json.dumps(obj))
+    assert err.value.path == "/road_polygon/1"
+    ann = json.loads(fileio.write_annotation_json(
+        annotation_scene_from_spec(builtin_scene("corridor"))))
+    ann["object_boxes"][0]["center"][2] = False
+    with pytest.raises(SchemaError) as err:
+        fileio.read_annotation_json(json.dumps(ann))
+    assert err.value.path == "/object_boxes/0/center"
+
+
+def test_annotation_json_rejects_what_its_constructors_reject():
+    good = json.loads(fileio.write_annotation_json(
+        annotation_scene_from_spec(builtin_scene("rehearse-like"))))
+    for key, value, error in (("half_extents", [0.3, -0.7, 0.9], InvalidSpecError),
+                              ("class_id", 8, InvalidSpecError)):
+        obj = json.loads(json.dumps(good))
+        obj["object_boxes"][1][key] = value
+        with pytest.raises(error):
+            fileio.read_annotation_json(json.dumps(obj))
+    with pytest.raises(DegeneratePolygonError):
+        fileio.read_annotation_json(json.dumps({**good, "road_polygon": [[0, 0], [1, 1]]}))
 
 
 def test_filter_list_json():

@@ -39,10 +39,16 @@ def test_lambda_rejects_nonpositive():
     {"beam_divergence": np.nan}, {"beam_divergence": np.pi / 2}, {"beam_divergence": 2.0},
     {"rain_reflectance": 2.0}, {"rain_reflectance": -0.1}, {"rain_reflectance": np.nan},
     {"d_max": np.inf},
+    {"seed": -1}, {"seed": 2 ** 128}, {"seed": 1.5},
 ], ids=lambda bad: "-".join(f"{k}={v:.4g}" for k, v in bad.items()))
 def test_rain_config_rejects_values_that_break_later_stages(bad):
     with pytest.raises(InvalidInputError):
         RainConfig(**{"rate": 10.0, **bad})
+
+
+def test_rain_config_seed_range_ends():
+    for seed in (0, 2 ** 128 - 1):
+        assert RainConfig(25.0, seed=seed).seed == seed
 
 
 @pytest.mark.parametrize("rate", [0.0, -1.0, np.nan])

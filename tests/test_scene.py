@@ -112,6 +112,8 @@ NAN, INF = float("nan"), float("inf")
     ("center", (NAN, 0.0, 1.0)), ("center", (0.0, INF, 1.0)), ("half_extents", (1.0, INF, 1.0)),
     ("half_extents", (NAN, 1.0, 1.0)), ("yaw", NAN), ("yaw", INF),
     ("reflectance", NAN), ("reflectance", 5.0), ("reflectance", -0.1),
+    ("half_extents", (1.0, 0.0, 1.0)), ("half_extents", (1.0, 1.0, -0.5)),
+    ("class_id", 8), ("class_id", 99), ("class_id", -1), ("class_id", 2.5),
 ])
 def test_box_rejects_bad_values(field, bad):
     with pytest.raises(InvalidSpecError):
@@ -120,8 +122,11 @@ def test_box_rejects_bad_values(field, bad):
 
 @pytest.mark.parametrize("field, bad", [
     ("ground_offset", NAN), ("ground_offset", INF), ("ground_normal", (0.0, NAN, 1.0)),
-    ("ground_normal", (0.0, 0.0, INF)), ("ground_reflectance", 7.0),
+    ("ground_normal", (0.0, 0.0, INF)), ("ground_normal", (0.0, 0.0, 0.0)),
+    ("ground_normal", (0.0, 0.0, 1e-120)), ("ground_normal", (0.0, 1e200, 1e200)),
+    ("ground_reflectance", 7.0),
     ("ground_reflectance", NAN), ("ground_reflectance", -1.0),
+    ("road_polygon", [(0, 0), (1, 0), (1, NAN)]), ("road_polygon", [(0, 0), (INF, 0), (1, 1)]),
 ])
 def test_scene_spec_rejects_bad_values(field, bad):
     with pytest.raises(InvalidSpecError):
