@@ -61,6 +61,13 @@ class PointCloud:
         return self.coords.shape[0]
 
     @cached_property
+    def ranges(self) -> np.ndarray:
+        """Each point's distance from the sensor origin, computed on first use; read-only."""
+        ranges = np.linalg.norm(self.coords, axis=1)
+        ranges.flags.writeable = False
+        return ranges
+
+    @cached_property
     def index(self):
         """This cloud's ``SpatialIndex``, built on first use; read-only arrays keep it current."""
         from .filters import SpatialIndex  # a lazy import: filters imports this module

@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import RAIN, ConfusionCounts, LabelSet
 from .errors import EmptyDatasetError, EmptySearchSpaceError, LengthMismatchError
-from .filters import DEFAULT_PARAMS, KINDS, FilterParams, apply_filter  # DEFAULT_PARAMS re-exported
+from .filters import DEFAULT_PARAMS, KINDS, CloudStack, FilterParams  # DEFAULT_PARAMS re-exported
 
 
 @dataclass(frozen=True)
@@ -44,13 +44,24 @@ def confusion(pred_removed: np.ndarray, gt_labels: LabelSet) -> ConfusionCounts:
         raise LengthMismatchError(
             f"prediction ({pred_removed.shape[0]}) does not match labels ({gt_labels.count})"
         )
-    is_rain = gt_labels.labels == RAIN
-    return ConfusionCounts(
-        tp=int((pred_removed & is_rain).sum()),
-        fp=int((pred_removed & ~is_rain).sum()),
-        fn=int((~pred_removed & is_rain).sum()),
-        tn=int((~pred_removed & ~is_rain).sum()),
-    )
+    return _tally(pred_removed, gt_labels.labels == RAIN)
+
+
+def _tally(removed: np.ndarray, is_rain: np.ndarray) -> ConfusionCounts:
+    tp = int(np.count_nonzero(removed & is_rain))
+    fp = int(np.count_nonzero(removed)) - tp
+    fn = int(np.count_nonzero(is_rain)) - tp
+    return ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=len(removed) - tp - fp - fn)
+
+
+def _stack(pairs, params) -> tuple[CloudStack, np.ndarray]:
+    """A CloudStack of the (cloud, labels) pairs' clouds for params, and their rain flags."""
+    for cloud, labels in pairs:
+        if cloud.count != labels.count:
+            raise LengthMismatchError(
+                f"cloud ({cloud.count}) does not match labels ({labels.count})")
+    is_rain = np.concatenate([np.zeros(0, bool), *(labels.labels == RAIN for _, labels in pairs)])
+    return CloudStack([cloud for cloud, _ in pairs], params), is_rain
 
 
 def _safe_div(num: float, den: float) -> float:
@@ -82,30 +93,27 @@ def derive_metrics(counts: ConfusionCounts, wall_time_ms: float | None = None) -
 def benchmark_run(dataset, filters) -> list[BenchmarkRow]:
     """Evaluate (name, params) filters over (cloud, labels, density tag) triples.
 
-    Counts pool per filter and density group. wall_time_ms is the mean filter
-    time per cloud on a built table: each cloud's is warmed before any timing.
+    Counts pool per filter and density group. Each group's clouds are stacked
+    once (``CloudStack``), so each filter runs once per group over all its
+    rows; wall_time_ms is that run's time divided by the group's cloud count,
+    the mean filter time per cloud on a built table.
     Row order: filters in given order, densities in first-seen order.
     """
     dataset, filters = list(dataset), list(filters)
     if not dataset:
         raise EmptyDatasetError("benchmark dataset is empty")
-    counts = [getattr(p, p.count) for _, p in filters]
-    _warm([cloud for cloud, _, _ in dataset], max(counts, default=0))
-    densities = list(dict.fromkeys(tag for _, _, tag in dataset))
+    groups = {}
+    for cloud, labels, tag in dataset:
+        groups.setdefault(tag, []).append((cloud, labels))
+    stacks = {tag: _stack(pairs, [params for _, params in filters])
+              for tag, pairs in groups.items()}
     rows = []
     for name, params in filters:
-        for density in densities:
-            pooled = ConfusionCounts(0, 0, 0, 0)
-            times = []
-            for cloud, labels, tag in dataset:
-                if tag != density:
-                    continue
-                start = time.perf_counter()
-                keep = apply_filter(cloud, params)
-                times.append((time.perf_counter() - start) * 1e3)
-                pooled = pooled + confusion(~keep, labels)
-            rows.append(BenchmarkRow(name, density,
-                                     derive_metrics(pooled, float(np.mean(times)))))
+        for density, (stack, is_rain) in stacks.items():
+            start = time.perf_counter()
+            keep = stack.keep(params)
+            ms = (time.perf_counter() - start) * 1e3 / len(groups[density])
+            rows.append(BenchmarkRow(name, density, derive_metrics(_tally(~keep, is_rain), ms)))
     return rows
 
 
@@ -136,18 +144,10 @@ def _sample_params(kind: str, space: dict, rng: np.random.Generator) -> FilterPa
     return KINDS[kind](**values)
 
 
-def _warm(clouds, k: int) -> None:
-    """Build each non-empty cloud's kNN table at least k columns wide."""
-    for cloud in (c for c in clouds if c.count):
-        cloud.index.knn_dists(k)
-
-
 def pooled_f1(dataset, params: FilterParams) -> float:
     """Pooled rain-class F1 of one filter over (cloud, labels) pairs."""
-    pooled = ConfusionCounts(0, 0, 0, 0)
-    for cloud, labels in dataset:
-        pooled = pooled + confusion(~apply_filter(cloud, params), labels)
-    return derive_metrics(pooled).f1
+    stack, is_rain = _stack(list(dataset), [params])
+    return derive_metrics(_tally(~stack.keep(params), is_rain)).f1
 
 
 def tune_filter(
@@ -162,8 +162,10 @@ def tune_filter(
 
     Draws up to n_samples (cloud, labels) pairs without replacement, then
     evaluates n_trials independently sampled parameter vectors; ties keep the
-    earliest trial. Fully determined by seed. Each sampled cloud's kNN table
-    is warmed once at the space's largest neighbor count, so trials only read it.
+    earliest trial. Fully determined by seed. The sampled clouds are stacked
+    once (``CloudStack``, a copy of their kNN tables at the trials' largest
+    neighbor count that lives for this call), so each trial is a few array
+    operations over all their points and one pooled count.
     A custom search_space is checked before any draw (``EmptySearchSpaceError``).
     """
     dataset = list(dataset)
@@ -180,13 +182,13 @@ def tune_filter(
     take = min(n_samples, len(dataset))
     subset_idx = rng.choice(len(dataset), size=take, replace=False)
     subset = [dataset[i] for i in subset_idx]
-    _warm([cloud for cloud, _ in subset], int(space[KINDS[kind].count][2]))
+    trials = [_sample_params(kind, space, rng) for _ in range(n_trials)]
+    stack, is_rain = _stack(subset, trials)
 
     best_params = None
     best_f1 = -1.0
-    for _ in range(n_trials):
-        params = _sample_params(kind, space, rng)
-        score = pooled_f1(subset, params)
+    for params in trials:
+        score = derive_metrics(_tally(~stack.keep(params), is_rain)).f1
         if score > best_f1:
             best_f1 = score
             best_params = params

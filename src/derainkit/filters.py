@@ -13,17 +13,26 @@ m-th nearest-neighbor distance is <= r, so they compare one column of the
 table with the radius (m = 0 keeps every point). The table's distances come
 from the oracle's own numpy expression, so boundary cases agree bit for bit.
 Past a cloud's n - 1 neighbors the table holds +inf padding, which ROR/DROR
-never read, so a radius that overflows to inf (DROR's beta * alpha * range)
-still counts only real neighbors.
+mask out (a cloud of at most m points keeps none), so a radius that
+overflows to inf (DROR's beta * alpha * range) still counts only real neighbors.
 
 Each params class describes its kind once: its fields, ``count`` (the field
 setting how many table columns it reads), ``space`` (its tuning search space)
-and ``bound`` (the radius or threshold of its rule). Everything else derives from them.
+and ``bound(ranges, mean, std)`` (the radius or threshold of its rule, given
+each point's range and, for SOR/DSOR, the mean and population std of the
+prefix means d over the point's cloud; arrays or scalars that broadcast).
+Everything else derives from them.
+
+``CloudStack`` evaluates these rules over several clouds at once: their
+tables' rows stacked, so one params' keep-mask is a few array operations over
+all rows. ``apply_filter`` is its one-cloud case.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar, Union
 
 import numpy as np
@@ -51,7 +60,7 @@ class Ror:
         if self.min_neighbors < 0:
             raise InvalidInputError("min_neighbors must be non-negative")
 
-    def bound(self, cloud: PointCloud, d=None):
+    def bound(self, ranges, mean=None, std=None):
         return self.radius
 
 
@@ -71,8 +80,8 @@ class Sor:
         if not 0 <= self.s < math.inf:
             raise InvalidInputError("s must be non-negative and finite")
 
-    def bound(self, cloud: PointCloud, d=None):
-        return d.mean() + self.s * d.std()
+    def bound(self, ranges, mean=None, std=None):
+        return mean + self.s * std
 
 
 @dataclass(frozen=True)
@@ -98,8 +107,10 @@ class Dror:
         if self.k_min < 0 or not 0 <= self.sr_min < math.inf:
             raise InvalidInputError("k_min and sr_min must be non-negative, sr_min finite")
 
-    def bound(self, cloud: PointCloud, d=None):
-        return np.maximum(self.sr_min, self.beta * self.alpha * _point_ranges(cloud))
+    def bound(self, ranges, mean=None, std=None):
+        # fmax, not maximum: at range 0 an overflowed beta * alpha gives inf * 0 = nan,
+        # and the radius there is sr_min.
+        return np.fmax(self.sr_min, self.beta * self.alpha * ranges)
 
 
 @dataclass(frozen=True)
@@ -119,8 +130,8 @@ class Dsor:
         if not (0 <= self.s < math.inf and 0 < self.r < math.inf):
             raise InvalidInputError("need s >= 0 and r > 0, both finite")
 
-    def bound(self, cloud: PointCloud, d=None):
-        return (d.mean() + self.s * d.std()) * self.r * _point_ranges(cloud)
+    def bound(self, ranges, mean=None, std=None):
+        return (mean + self.s * std) * self.r * ranges
 
 
 FilterParams = Union[Ror, Sor, Dror, Dsor]
@@ -176,33 +187,79 @@ def build_index(cloud: PointCloud) -> SpatialIndex:
     return SpatialIndex(cloud)
 
 
-def _point_ranges(cloud: PointCloud) -> np.ndarray:
-    return np.linalg.norm(cloud.coords, axis=1)
+def _count(params: FilterParams) -> int:
+    """How many table columns the params' rule reads; unknown params are an error."""
+    if not isinstance(params, tuple(KINDS.values())):
+        raise InvalidInputError(f"unknown filter params {type(params).__name__}")
+    return getattr(params, params.count)
 
 
-def _has_neighbors(cloud: PointCloud, m: int, radii, index: SpatialIndex | None) -> np.ndarray:
-    """At least m neighbors within radii: the m-th nearest-neighbor distance is <= radii.
+class CloudStack:
+    """Clouds stacked row-wise, so one params' keep-mask over all of them is a few array ops.
 
-    A cloud with fewer than m other points keeps none, without reading the padding.
+    Built once for the params it will evaluate: the rows of each non-empty
+    cloud's kNN table (``knn_dists(k)`` for the params' largest count k, from
+    the cloud's own index or the one given for it), each row's range, and the
+    non-empty clouds' sizes. A stack of one cloud
+    reads that cloud's table (or the given index's) without copying it; a
+    stack of several holds a second copy, 8 * sum(n) * k bytes, for its own
+    lifetime. SOR/DSOR's prefix means, and each cloud's mean and std of them,
+    depend on k only: they are computed once per k and kept (at most
+    3 * 8 * sum(n) bytes per k).
     """
-    if m == 0 or m >= cloud.count:
-        return np.full(cloud.count, m == 0)
-    return (index or cloud.index).knn_dists(m)[:, m - 1] <= radii
+
+    def __init__(self, clouds, params, indexes=None):
+        clouds = list(clouds)
+        k = max(map(_count, params), default=0)
+        rows = [(c, i) for c, i in zip(clouds, indexes or [None] * len(clouds)) if c.count]
+        self.sizes = [cloud.count for cloud, _ in rows]
+        tables = [(index or cloud.index).knn_dists(k) for cloud, index in rows]
+        ranges = [cloud.ranges for cloud, _ in rows]
+        self.table = tables[0] if len(tables) == 1 else np.concatenate([np.empty((0, k)), *tables])
+        self.ranges = ranges[0] if len(ranges) == 1 else np.concatenate([np.empty(0), *ranges])
+        self._prefix_means = {}
+
+    @cached_property
+    def row_sizes(self) -> np.ndarray:
+        """Each row's cloud size."""
+        return np.repeat(self.sizes, self.sizes)
+
+    def keep(self, params: FilterParams) -> np.ndarray:
+        """Keep-mask over all rows: ROR/DROR's order statistic, SOR/DSOR's prefix mean."""
+        m = _count(params)
+        if m > self.table.shape[1]:
+            raise InvalidInputError(f"params read {m} table columns, the stack has fewer")
+        if isinstance(params, (Ror, Dror)):
+            if m == 0:
+                return np.ones(self.table.shape[0], dtype=bool)
+            near = self.table[:, m - 1] <= params.bound(self.ranges)
+            # Rows of clouds with at most m points read padding: those clouds keep none.
+            return near if m < min(self.sizes, default=0) else (
+                near & (m < self.row_sizes))
+        d, mean, std = self._means(m)
+        return d <= params.bound(self.ranges, mean, std)
+
+    def _means(self, k: int):
+        """Each row's mean distance d to its k nearest, and its cloud's mean and std of d."""
+        if k not in self._prefix_means:
+            too_few = [n for n in self.sizes if n < k + 1]
+            if too_few:
+                raise TooFewPointsError(f"need at least {k + 1} points, have {too_few[0]}")
+            d = self.table[:, :k].mean(axis=1)
+            # Each cloud's statistics come from numpy's own calls on its slice, as for one cloud.
+            ends = itertools.accumulate(self.sizes)
+            parts = [d[end - n:end] for n, end in zip(self.sizes, ends)]
+            stats = np.array([(part.mean(), part.std()) for part in parts]).reshape(-1, 2)
+            # One cloud keeps its two scalars; several repeat theirs over their rows.
+            mean, std = stats[0] if len(parts) == 1 else np.repeat(stats.T, self.sizes, axis=1)
+            self._prefix_means[k] = d, mean, std
+        return self._prefix_means[k]
 
 
 def apply_filter(cloud: PointCloud, params: FilterParams,
                  index: SpatialIndex | None = None) -> np.ndarray:
-    """Keep-mask of the params' rule: ROR/DROR's order statistic, SOR/DSOR's prefix mean."""
-    if isinstance(params, (Ror, Dror)):
-        return _has_neighbors(cloud, getattr(params, params.count), params.bound(cloud), index)
-    if not isinstance(params, (Sor, Dsor)):
-        raise InvalidInputError(f"unknown filter params {type(params).__name__}")
-    if cloud.count == 0:
-        return np.zeros(0, dtype=bool)
-    if cloud.count < params.k + 1:
-        raise TooFewPointsError(f"need at least {params.k + 1} points, have {cloud.count}")
-    d = (index or cloud.index).knn_dists(params.k).mean(axis=1)
-    return d <= params.bound(cloud, d)
+    """Keep-mask of the params' rule on one cloud: the one-cloud case of ``CloudStack``."""
+    return CloudStack([cloud], [params], [index]).keep(params)
 
 
 def brute_force_mask(cloud: PointCloud, params: FilterParams) -> np.ndarray:
@@ -222,8 +279,8 @@ def brute_force_mask(cloud: PointCloud, params: FilterParams) -> np.ndarray:
 
     m = getattr(params, params.count)
     if isinstance(params, (Ror, Dror)):
-        return (dist <= np.reshape(params.bound(cloud), (-1, 1))).sum(axis=1) >= m
+        return (dist <= np.reshape(params.bound(cloud.ranges), (-1, 1))).sum(axis=1) >= m
     if n < m + 1:
         raise TooFewPointsError(f"need at least {m + 1} points, have {n}")
     d = np.sort(dist, axis=1)[:, :m].mean(axis=1)
-    return d <= params.bound(cloud, d)
+    return d <= params.bound(cloud.ranges, d.mean(), d.std())

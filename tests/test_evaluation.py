@@ -224,9 +224,59 @@ def test_tuned_beats_or_matches_default():
     assert tuned >= pooled_f1(data, DEFAULT_PARAMS["dsor"])
 
 
+def fan_dataset():
+    """Three clouds: a ground fan thinning with range, scattered rain and a rain clump."""
+    out = []
+    for seed, tag in ((0, "heavy"), (1, "heavy"), (2, "light")):
+        rng = np.random.default_rng(seed)
+        r, az = np.meshgrid(np.geomspace(1.5, 8, 16), np.linspace(-0.7, 0.7, 40))
+        ground = np.column_stack([r.ravel() * np.cos(az.ravel()), r.ravel() * np.sin(az.ravel()),
+                                  rng.normal(-2.0, 0.02, r.size)])
+        n_rain = 30 if tag == "heavy" else 10
+        rain = rng.uniform([1, -3, -1.8], [8, 3, 1], (n_rain, 3))
+        clump = rain[0] + rng.normal(0, 0.05, (6, 3))
+        coords = np.vstack([ground, rain, clump])
+        labels = np.r_[np.ones(len(ground)), np.full(n_rain + 6, RAIN)]
+        out.append((PointCloud(coords, np.full(len(coords), 0.5)), LabelSet(labels), tag))
+    return out
+
+
+def test_tuning_and_benchmark_outputs_pinned():
+    """tune_filter's best trial and benchmark_run's metrics keep their values, bit for bit."""
+    data = fan_dataset()
+    tuned = {
+        "ror": (Ror(radius=1.2385227341089864, min_neighbors=14), 0.7415730337078651),
+        "sor": (Sor(k=3, s=1.9571073347639631), 0.8),
+        "dror": (Dror(alpha=0.0746249621194077, beta=3.2246391021355882, k_min=20,
+                      sr_min=0.12766631086836017), 0.794871794871795),
+        "dsor": (Dsor(k=6, s=0.2980771670671116, r=0.24947324759215783), 0.8266666666666667),
+    }
+    for kind, expected in tuned.items():
+        assert tune_filter(kind, pairs(data), n_samples=3, n_trials=20, seed=5) == expected
+    rows = [
+        ("ror", "heavy", 0.12472647702407003, 0.7916666666666666, 0.21550094517958412,
+         0.12076271186440678),
+        ("ror", "light", 0.04265402843601896, 0.5625, 0.07929515418502203, 0.04128440366972477),
+        ("sor", "heavy", 0.8, 0.7777777777777778, 0.7887323943661971, 0.6511627906976745),
+        ("sor", "light", 0.15789473684210525, 0.5625, 0.2465753424657534, 0.140625),
+        ("dror", "heavy", 0.043348281016442454, 0.8055555555555556, 0.0822695035460993,
+         0.042899408284023666),
+        ("dror", "light", 0.01386748844375963, 0.5625, 0.02706766917293233,
+         0.013719512195121951),
+        ("dsor", "heavy", 0.043348281016442454, 0.8055555555555556, 0.0822695035460993,
+         0.042899408284023666),
+        ("dsor", "light", 0.015384615384615385, 0.625, 0.030030030030030033,
+         0.01524390243902439),
+    ]
+    got = [(row.filter_name, row.rain_density, row.report.precision, row.report.recall,
+            row.report.f1, row.report.rain_iou)
+           for row in benchmark_run(data, list(DEFAULT_PARAMS.items()))]
+    assert got == rows
+
+
 @pytest.mark.parametrize("kind", ["ror", "sor", "dror", "dsor"])
 def test_shared_indexes_change_no_trial(kind):
-    """Every trial tune_filter draws scores the same on its clouds' warmed tables
+    """Every trial tune_filter draws scores the same on its clouds' shared tables
     as on fresh copies of the clouds, whose tables are built at the trial's k."""
     data = pairs(rain_dataset(4, seed=10))
     seed, n_samples, n_trials = 21, 3, 40

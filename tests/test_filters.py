@@ -129,13 +129,18 @@ def test_radius_filters_exact_on_boundary(decimals):
 
 @pytest.mark.parametrize("m, kept", [(1, True), (2, False), (3, False)])
 def test_dror_radius_overflow_counts_real_neighbors_only(m, kept):
-    """beta * alpha * range overflows to inf; each of two points still has one neighbor."""
-    cloud = PointCloud([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]], [0.5, 0.5])
-    params = Dror(1e200, 1e200, m, 0.04)
-    expected = np.full(2, kept)
-    np.testing.assert_array_equal(brute_force_mask(cloud, params), expected)
-    np.testing.assert_array_equal(apply_filter(cloud, params), expected)
-    np.testing.assert_array_equal(apply_filter(cloud, params, build_index(cloud)), expected)
+    """beta * alpha * range overflows to inf; each of two points still has one neighbor.
+
+    At the origin inf * 0 is nan, and the radius there is sr_min, which holds the neighbor.
+    """
+    for coords, sr_min in (([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]], 0.04),
+                           ([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]], 1.0)):
+        cloud = PointCloud(coords, [0.5, 0.5])
+        params = Dror(1e200, 1e200, m, sr_min)
+        expected = np.full(2, kept)
+        np.testing.assert_array_equal(brute_force_mask(cloud, params), expected)
+        np.testing.assert_array_equal(apply_filter(cloud, params), expected)
+        np.testing.assert_array_equal(apply_filter(cloud, params, build_index(cloud)), expected)
 
 
 def test_radius_params_must_be_finite():
@@ -155,12 +160,12 @@ def test_mean_params_must_be_finite():
 
 def test_bounds_hand_case():
     """Each kind's bound is its paper definition, which the oracle takes as given."""
-    cloud = PointCloud([[3.0, 4.0, 0.0], [0.0, 0.0, 10.0]], [0.5, 0.5])  # ranges 5 and 10
-    d = np.array([1.0, 3.0])  # mean 2, population std 1
-    assert Ror(0.7, 2).bound(cloud) == 0.7
-    np.testing.assert_array_equal(Dror(0.01, 3.0, 1, 0.2).bound(cloud), [0.2, 0.3])
-    assert Sor(1, 1.5).bound(cloud, d) == 3.5
-    np.testing.assert_array_equal(Dsor(1, 1.5, 0.1).bound(cloud, d),
+    ranges = np.array([5.0, 10.0])
+    mean, std = 2.0, 1.0  # of d = [1, 3]
+    assert Ror(0.7, 2).bound(ranges) == 0.7
+    np.testing.assert_array_equal(Dror(0.01, 3.0, 1, 0.2).bound(ranges), [0.2, 0.3])
+    assert Sor(1, 1.5).bound(ranges, mean, std) == 3.5
+    np.testing.assert_array_equal(Dsor(1, 1.5, 0.1).bound(ranges, mean, std),
                                   [3.5 * 0.1 * 5, 3.5 * 0.1 * 10])
 
 

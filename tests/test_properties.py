@@ -8,8 +8,10 @@ from hypothesis import given, strategies as st
 
 from derainkit import builtin_scene, fileio, grid_calibration
 from derainkit.annotate import AnnotationScene, RansacConfig, annotation_scene_from_spec
-from derainkit.core import NUM_CLASSES, PointCloud, SensorCalibration
+from derainkit.core import (NUM_CLASSES, RAIN, ROAD, ConfusionCounts, LabelSet, PointCloud,
+                            SensorCalibration)
 from derainkit.errors import DerainKitError
+from derainkit.evaluation import _stack, _tally, confusion
 from derainkit.fileio import _decode, _encode
 from derainkit.filters import DEFAULT_PARAMS, Dror, Dsor, Ror, Sor, apply_filter, brute_force_mask
 from derainkit.rainsim import RainConfig
@@ -179,21 +181,45 @@ def clouds(draw):
 # Grid steps hit exact neighbour distances of snapped clouds, so boundaries are tested.
 extreme = st.sampled_from([1e-300, 1e-12, 0.5, 1.0, 2.0, 1e12, 1e300]) | floats(1e-3, 50)
 counts = st.integers(0, 40)
+# Small k too, so that SOR/DSOR succeed on batches of small clouds, not only fail.
+ks = st.integers(1, 4) | st.integers(1, 40)
 filter_params = st.one_of(
     st.builds(Ror, extreme, counts),
-    st.builds(Sor, st.integers(1, 40), st.sampled_from([0.0, 1e300]) | floats(0, 5)),
+    st.builds(Sor, ks, st.sampled_from([0.0, 1e300]) | floats(0, 5)),
     st.builds(Dror, extreme, extreme, counts, st.just(0.0) | extreme),
-    st.builds(Dsor, st.integers(1, 40), st.sampled_from([0.0, 1e300]) | floats(0, 5), extreme),
+    st.builds(Dsor, ks, st.sampled_from([0.0, 1e300]) | floats(0, 5), extreme),
 )
 
 
-def outcome(run, cloud, params):
+@st.composite
+def batches(draw):
+    """1-4 (cloud, labels) pairs, some possibly the same pair twice; labels rain or road."""
+    distinct = draw(st.lists(clouds(), min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=1, max_size=4))
+    labels = [LabelSet(draw(st.lists(st.sampled_from([ROAD, RAIN]), min_size=cloud.count,
+                                     max_size=cloud.count))) for cloud in distinct]
+    return [(distinct[i], labels[i]) for i in picks]
+
+
+def outcome(run, *args):
     try:
-        return run(cloud, params).tolist()
+        return run(*args).tolist()
     except DerainKitError as exc:
         return type(exc)
 
 
-@given(clouds(), filter_params)
-def test_apply_filter_matches_oracle(cloud, params):
-    assert outcome(apply_filter, cloud, params) == outcome(brute_force_mask, cloud, params)
+@given(batches(), filter_params)
+def test_apply_filter_matches_oracle(batch, params):
+    """A stack of clouds keeps what the oracle keeps in each, or fails as the first failing
+    cloud does, and pools the counts of each cloud's oracle mask."""
+    clouds = [cloud for cloud, _ in batch]
+    expected = [outcome(brute_force_mask, cloud, params) for cloud in clouds]
+    errors = [e for e in expected if isinstance(e, type)]
+    assert outcome(apply_filter, clouds[0], params) == expected[0]
+    stack, is_rain = _stack(batch, [params])
+    keep = outcome(stack.keep, params)
+    assert keep == (errors[0] if errors else sum(expected, []))
+    if not errors:
+        pooled = sum((confusion(~brute_force_mask(cloud, params), labels)
+                      for cloud, labels in batch), ConfusionCounts(0, 0, 0, 0))
+        assert _tally(~np.array(keep, dtype=bool), is_rain) == pooled
