@@ -96,7 +96,9 @@ def benchmark_run(dataset, filters) -> list[BenchmarkRow]:
     Counts pool per filter and density group. Each group's clouds are stacked
     once (``CloudStack``), so each filter runs once per group over all its
     rows; wall_time_ms is that run's time divided by the group's cloud count,
-    the mean filter time per cloud on a built table.
+    the mean filter time per cloud on a built table. Each run starts without
+    the stack's per-k SOR/DSOR statistics, so a filter's time does not depend
+    on the filters before it.
     Row order: filters in given order, densities in first-seen order.
     """
     dataset, filters = list(dataset), list(filters)
@@ -110,6 +112,7 @@ def benchmark_run(dataset, filters) -> list[BenchmarkRow]:
     rows = []
     for name, params in filters:
         for density, (stack, is_rain) in stacks.items():
+            stack.means.clear()  # time from scratch, not from an earlier filter's per-k means
             start = time.perf_counter()
             keep = stack.keep(params)
             ms = (time.perf_counter() - start) * 1e3 / len(groups[density])

@@ -32,7 +32,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import ClassVar, Union
 
 import numpy as np
@@ -198,53 +197,58 @@ class CloudStack:
     """Clouds stacked row-wise, so one params' keep-mask over all of them is a few array ops.
 
     Built once for the params it will evaluate: the rows of each non-empty
-    cloud's kNN table (``knn_dists(k)`` for the params' largest count k, from
-    the cloud's own index or the one given for it), each row's range, and the
-    non-empty clouds' sizes. A stack of one cloud
-    reads that cloud's table (or the given index's) without copying it; a
-    stack of several holds a second copy, 8 * sum(n) * k bytes, for its own
-    lifetime. SOR/DSOR's prefix means, and each cloud's mean and std of them,
-    depend on k only: they are computed once per k and kept (at most
-    3 * 8 * sum(n) bytes per k).
+    cloud's kNN table (from the cloud's own index or the one given for it),
+    each row's range and cloud size, and the non-empty clouds' sizes. The
+    table is as wide as the largest count k of the params that read it: not
+    ROR/DROR with m at least the largest cloud's size (every cloud keeps
+    none), nor SOR/DSOR with k at least the smallest's (``TooFewPointsError``),
+    so a count from outside the program builds no table wider than the
+    clouds. A stack of one cloud reads that cloud's table (or the given
+    index's) without copying it; a stack of several holds a second copy,
+    8 * sum(n) * k bytes, for its own lifetime.
+    SOR/DSOR's prefix means, and each cloud's mean and std of them, depend on
+    k only: ``means`` keeps them per k (at most 3 * 8 * sum(n) bytes per k);
+    clear it to time a filter from scratch.
     """
 
     def __init__(self, clouds, params, indexes=None):
         clouds = list(clouds)
-        k = max(map(_count, params), default=0)
         rows = [(c, i) for c, i in zip(clouds, indexes or [None] * len(clouds)) if c.count]
         self.sizes = [cloud.count for cloud, _ in rows]
-        tables = [(index or cloud.index).knn_dists(k) for cloud, index in rows]
+        largest, smallest = max(self.sizes, default=0), min(self.sizes, default=0)
+        counts = [(_count(p), largest if isinstance(p, (Ror, Dror)) else smallest) for p in params]
+        self.count = max((m for m, _ in counts), default=0)
+        width = max((m for m, limit in counts if m < limit), default=0)
+        tables = [(index or cloud.index).knn_dists(width) for cloud, index in rows]
         ranges = [cloud.ranges for cloud, _ in rows]
-        self.table = tables[0] if len(tables) == 1 else np.concatenate([np.empty((0, k)), *tables])
+        self.table = tables[0] if len(tables) == 1 else np.concatenate(
+            [np.empty((0, width)), *tables])
         self.ranges = ranges[0] if len(ranges) == 1 else np.concatenate([np.empty(0), *ranges])
-        self._prefix_means = {}
-
-    @cached_property
-    def row_sizes(self) -> np.ndarray:
-        """Each row's cloud size."""
-        return np.repeat(self.sizes, self.sizes)
+        self.row_sizes = np.repeat(self.sizes, self.sizes)
+        self.means = {}
 
     def keep(self, params: FilterParams) -> np.ndarray:
         """Keep-mask over all rows: ROR/DROR's order statistic, SOR/DSOR's prefix mean."""
         m = _count(params)
-        if m > self.table.shape[1]:
-            raise InvalidInputError(f"params read {m} table columns, the stack has fewer")
+        if m > self.count:
+            raise InvalidInputError(f"params count {m} exceeds the stack's {self.count}")
         if isinstance(params, (Ror, Dror)):
+            if m > self.table.shape[1]:
+                # Only when every cloud has at most m points.
+                return np.zeros(self.table.shape[0], dtype=bool)
             if m == 0:
                 return np.ones(self.table.shape[0], dtype=bool)
-            near = self.table[:, m - 1] <= params.bound(self.ranges)
             # Rows of clouds with at most m points read padding: those clouds keep none.
-            return near if m < min(self.sizes, default=0) else (
-                near & (m < self.row_sizes))
+            return (self.table[:, m - 1] <= params.bound(self.ranges)) & (m < self.row_sizes)
         d, mean, std = self._means(m)
         return d <= params.bound(self.ranges, mean, std)
 
     def _means(self, k: int):
         """Each row's mean distance d to its k nearest, and its cloud's mean and std of d."""
-        if k not in self._prefix_means:
-            too_few = [n for n in self.sizes if n < k + 1]
-            if too_few:
-                raise TooFewPointsError(f"need at least {k + 1} points, have {too_few[0]}")
+        too_few = [n for n in self.sizes if n < k + 1]
+        if too_few:
+            raise TooFewPointsError(f"need at least {k + 1} points, have {too_few[0]}")
+        if k not in self.means:
             d = self.table[:, :k].mean(axis=1)
             # Each cloud's statistics come from numpy's own calls on its slice, as for one cloud.
             ends = itertools.accumulate(self.sizes)
@@ -252,8 +256,8 @@ class CloudStack:
             stats = np.array([(part.mean(), part.std()) for part in parts]).reshape(-1, 2)
             # One cloud keeps its two scalars; several repeat theirs over their rows.
             mean, std = stats[0] if len(parts) == 1 else np.repeat(stats.T, self.sizes, axis=1)
-            self._prefix_means[k] = d, mean, std
-        return self._prefix_means[k]
+            self.means[k] = d, mean, std
+        return self.means[k]
 
 
 def apply_filter(cloud: PointCloud, params: FilterParams,

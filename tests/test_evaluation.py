@@ -18,7 +18,12 @@ from derainkit import (
     tune_filter,
 )
 from derainkit.core import RAIN, empty_cloud
-from derainkit.errors import EmptyDatasetError, EmptySearchSpaceError, LengthMismatchError
+from derainkit.errors import (
+    EmptyDatasetError,
+    EmptySearchSpaceError,
+    LengthMismatchError,
+    TooFewPointsError,
+)
 from derainkit.evaluation import DEFAULT_PARAMS, DEFAULT_SEARCH_SPACES, _sample_params, pooled_f1
 from derainkit import filters
 
@@ -120,6 +125,32 @@ def test_benchmark_row_count_by_density():
 def test_benchmark_empty_dataset():
     with pytest.raises(EmptyDatasetError):
         benchmark_run([], [("dsor", DEFAULT_PARAMS["dsor"])])
+
+
+def test_benchmark_times_each_filter_from_scratch(monkeypatch):
+    """A filter's timed run reuses no per-k statistics that an earlier filter left."""
+    cached = []
+    keep = filters.CloudStack.keep
+
+    def spying_keep(stack, params):
+        cached.append(len(stack.means))
+        return keep(stack, params)
+
+    monkeypatch.setattr(filters.CloudStack, "keep", spying_keep)
+    benchmark_run(rain_dataset(2, seed=7), [("sor", Sor(5, 1.0)), ("dsor", Dsor(5, 1.0, 0.05))])
+    assert cached == [0, 0]
+
+
+def test_counts_past_cloud_sizes():
+    """Counts larger than every cloud keep none (ROR/DROR) or raise (SOR/DSOR) without
+    building a table that wide."""
+    data = pairs(rain_dataset(2, seed=6))
+    largest = max(cloud.count for cloud, _ in data)
+    assert pooled_f1(data, Ror(0.5, 10**12)) == pooled_f1(data, Ror(0.5, largest))
+    assert pooled_f1(data, Dror(0.01, 3.0, 10**12, 0.04)) == pooled_f1(data, Ror(0.5, largest))
+    for params in (Sor(10**12, 1.0), Dsor(10**12, 1.0, 0.05)):
+        with pytest.raises(TooFewPointsError):
+            pooled_f1(data, params)
 
 
 def test_metrics_invariant_under_duplication():

@@ -198,8 +198,27 @@ def test_ror_hand_case():
     np.testing.assert_array_equal(apply_filter(cloud, Ror(0.5, 1)), [True, True, False])
 
 
-def test_ror_empty():
+def record_widths(monkeypatch):
+    """The widths of the kNN tables that filters ask their indexes for, in call order."""
+    widths = []
+    knn_dists = SpatialIndex.knn_dists
+
+    def recording(index, k):
+        widths.append(k)
+        return knn_dists(index, k)
+
+    monkeypatch.setattr(SpatialIndex, "knn_dists", recording)
+    return widths
+
+
+def test_ror_empty(monkeypatch):
     assert apply_filter(empty_cloud(), Ror(1.0, 1)).shape == (0,)
+    # A count past the cloud's size keeps none, and reads no table column.
+    widths = record_widths(monkeypatch)
+    cloud = random_cloud(700, 1)
+    for params in (Ror(1.0, 10**12), Dror(0.01, 3.0, 10**12, 0.04), Ror(1.0, 700)):
+        assert not apply_filter(cloud, params).any()
+    assert set(widths) == {0}
 
 
 def test_sor_hand_case():
@@ -208,9 +227,15 @@ def test_sor_hand_case():
     np.testing.assert_array_equal(apply_filter(cloud, Sor(1, 0.0)), [True, True, False])
 
 
-def test_sor_too_few_points():
+def test_sor_too_few_points(monkeypatch):
     with pytest.raises(TooFewPointsError):
         apply_filter(random_cloud(3, 2), Sor(5, 1.0))
+    # A k past the cloud's size raises without reading a table column.
+    widths = record_widths(monkeypatch)
+    for params in (Sor(10**12, 1.0), Dsor(10**12, 1.0, 0.05), Sor(700, 1.0)):
+        with pytest.raises(TooFewPointsError):
+            apply_filter(random_cloud(700, 2), params)
+    assert set(widths) == {0}
 
 
 def test_sor_large_s_keeps_all():
