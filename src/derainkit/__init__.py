@@ -44,7 +44,6 @@ from .annotate import (
     annotation_scene_from_spec,
     auto_annotate,
     brute_force_transfer,
-    point_in_polygon,
     ransac_plane,
     transfer_labels,
 )

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .core import BACKGROUND, RAIN, ROAD, SPRINKLER, LabelSet, PointCloud, validate_cloud
 from .errors import (
@@ -55,8 +54,9 @@ class AnnotationScene:
         object.__setattr__(
             self, "road_polygon", np.asarray(self.road_polygon, dtype=np.float64).reshape(-1, 2)
         )
-        if self.road_polygon.shape[0] < 3 or not np.isfinite(self.road_polygon).all():
-            raise DegeneratePolygonError("road polygon needs at least 3 vertices, all finite")
+        # Beyond 1e100 the cross products of the polygon test overflow.
+        if self.road_polygon.shape[0] < 3 or not (np.abs(self.road_polygon) <= 1e100).all():
+            raise DegeneratePolygonError("road polygon needs >= 3 vertices in [-1e100, 1e100]")
 
 
 @dataclass(frozen=True)
@@ -114,14 +114,6 @@ def ransac_plane(cloud: PointCloud, iterations: int, inlier_threshold: float,
     if normal[2] < 0:
         normal = -normal
     return PlaneModel(normal, float(-normal @ centroid), best_count)
-
-
-def point_in_polygon(xy, polygon) -> bool:
-    """Even-odd rule for a single 2D point; edge points count as inside."""
-    polygon = np.asarray(polygon, dtype=np.float64).reshape(-1, 2)
-    if polygon.shape[0] < 3:
-        raise DegeneratePolygonError("polygon needs at least 3 vertices")
-    return bool(points_in_polygon(np.asarray(xy, dtype=np.float64).reshape(1, 2), polygon)[0])
 
 
 def _in_box(coords: np.ndarray, box: OrientedBox) -> np.ndarray:
@@ -204,6 +196,7 @@ def transfer_labels(src_cloud: PointCloud, src_labels: LabelSet,
     are redone with the first-occurrence argmin of ``brute_force_transfer``,
     so the result equals that oracle bit for bit.
     """
+    from scipy.spatial import cKDTree  # here, not at module level: it is slow to import
     _check_transfer(src_cloud, src_labels, dst_cloud)
     src, dst = src_cloud.coords, dst_cloud.coords
     dist, nearest = cKDTree(src).query(dst, k=2)

@@ -93,12 +93,12 @@ def derive_metrics(counts: ConfusionCounts, wall_time_ms: float | None = None) -
 def benchmark_run(dataset, filters) -> list[BenchmarkRow]:
     """Evaluate (name, params) filters over (cloud, labels, density tag) triples.
 
-    Counts pool per filter and density group. Each group's clouds are stacked
-    once (``CloudStack``), so each filter runs once per group over all its
-    rows; wall_time_ms is that run's time divided by the group's cloud count,
-    the mean filter time per cloud on a built table. Each run starts without
-    the stack's per-k SOR/DSOR statistics, so a filter's time does not depend
-    on the filters before it.
+    Counts pool per filter and density group. Each filter runs once per
+    group over all its rows, on a ``CloudStack`` of its own built before the
+    clock starts; wall_time_ms is that run's time divided by the group's cloud
+    count, the mean filter time per cloud on a built table. The run includes
+    gathering the column or prefix means its rule reads, so a filter's time
+    does not depend on the filters before it.
     Row order: filters in given order, densities in first-seen order.
     """
     dataset, filters = list(dataset), list(filters)
@@ -107,15 +107,13 @@ def benchmark_run(dataset, filters) -> list[BenchmarkRow]:
     groups = {}
     for cloud, labels, tag in dataset:
         groups.setdefault(tag, []).append((cloud, labels))
-    stacks = {tag: _stack(pairs, [params for _, params in filters])
-              for tag, pairs in groups.items()}
     rows = []
     for name, params in filters:
-        for density, (stack, is_rain) in stacks.items():
-            stack.means.clear()  # time from scratch, not from an earlier filter's per-k means
+        for density, pairs in groups.items():
+            stack, is_rain = _stack(pairs, [params])
             start = time.perf_counter()
             keep = stack.keep(params)
-            ms = (time.perf_counter() - start) * 1e3 / len(groups[density])
+            ms = (time.perf_counter() - start) * 1e3 / len(pairs)
             rows.append(BenchmarkRow(name, density, derive_metrics(_tally(~keep, is_rain), ms)))
     return rows
 
@@ -166,8 +164,9 @@ def tune_filter(
     Draws up to n_samples (cloud, labels) pairs without replacement, then
     evaluates n_trials independently sampled parameter vectors; ties keep the
     earliest trial. Fully determined by seed. The sampled clouds are stacked
-    once (``CloudStack``, a copy of their kNN tables at the trials' largest
-    neighbor count that lives for this call), so each trial is a few array
+    once (``CloudStack``, which reads each cloud's kNN table in place and
+    keeps, for this call, one column per ROR/DROR count and the prefix means
+    per SOR/DSOR k that the trials read), so each trial is a few array
     operations over all their points and one pooled count.
     A custom search_space is checked before any draw (``EmptySearchSpaceError``).
     """

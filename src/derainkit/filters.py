@@ -13,8 +13,9 @@ m-th nearest-neighbor distance is <= r, so they compare one column of the
 table with the radius (m = 0 keeps every point). The table's distances come
 from the oracle's own numpy expression, so boundary cases agree bit for bit.
 Past a cloud's n - 1 neighbors the table holds +inf padding, which ROR/DROR
-mask out (a cloud of at most m points keeps none), so a radius that
-overflows to inf (DROR's beta * alpha * range) still counts only real neighbors.
+never read: a cloud of at most m points gets nan for the column and keeps
+none, so a radius that overflows to inf (DROR's beta * alpha * range) still
+counts only real neighbors.
 
 Each params class describes its kind once: its fields, ``count`` (the field
 setting how many table columns it reads), ``space`` (its tuning search space)
@@ -23,19 +24,18 @@ each point's range and, for SOR/DSOR, the mean and population std of the
 prefix means d over the point's cloud; arrays or scalars that broadcast).
 Everything else derives from them.
 
-``CloudStack`` evaluates these rules over several clouds at once: their
-tables' rows stacked, so one params' keep-mask is a few array operations over
-all rows. ``apply_filter`` is its one-cloud case.
+``CloudStack`` evaluates these rules over several clouds at once. It reads
+each cloud's table in place and gathers, once per count, only the column or
+prefix means a rule reads, so one params' keep-mask is a few array operations
+over all rows. ``apply_filter`` is its one-cloud case.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import ClassVar, Union
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .core import PointCloud, validate_cloud
 from .errors import EmptyIndexError, InvalidInputError, TooFewPointsError, TooLargeError
@@ -109,7 +109,8 @@ class Dror:
     def bound(self, ranges, mean=None, std=None):
         # fmax, not maximum: at range 0 an overflowed beta * alpha gives inf * 0 = nan,
         # and the radius there is sr_min.
-        return np.fmax(self.sr_min, self.beta * self.alpha * ranges)
+        with np.errstate(invalid="ignore"):
+            return np.fmax(self.sr_min, self.beta * self.alpha * ranges)
 
 
 @dataclass(frozen=True)
@@ -156,6 +157,7 @@ class SpatialIndex:
     """
 
     def __init__(self, cloud: PointCloud):
+        from scipy.spatial import cKDTree  # here, not at module level: it is slow to import
         validate_cloud(cloud)
         self.coords = cloud.coords
         self.count = cloud.count
@@ -193,53 +195,50 @@ def _count(params: FilterParams) -> int:
     return getattr(params, params.count)
 
 
-class CloudStack:
-    """Clouds stacked row-wise, so one params' keep-mask over all of them is a few array ops.
+def _concat(parts) -> np.ndarray:
+    """The float arrays end to end; one array is returned as it is, with no copy."""
+    return parts[0] if len(parts) == 1 else np.concatenate([np.empty(0), *parts])
 
-    Built once for the params it will evaluate: the rows of each non-empty
-    cloud's kNN table (from the cloud's own index or the one given for it),
-    each row's range and cloud size, and the non-empty clouds' sizes. The
-    table is as wide as the largest count k of the params that read it: not
-    ROR/DROR with m at least the largest cloud's size (every cloud keeps
-    none), nor SOR/DSOR with k at least the smallest's (``TooFewPointsError``),
-    so a count from outside the program builds no table wider than the
-    clouds. A stack of one cloud reads that cloud's table (or the given
-    index's) without copying it; a stack of several holds a second copy,
-    8 * sum(n) * k bytes, for its own lifetime.
-    SOR/DSOR's prefix means, and each cloud's mean and std of them, depend on
-    k only: ``means`` keeps them per k (at most 3 * 8 * sum(n) bytes per k);
-    clear it to time a filter from scratch.
+
+class CloudStack:
+    """Clouds' rows end to end, so one params' keep-mask over all of them is a few array ops.
+
+    It holds each non-empty cloud's index (the cloud's own, ``cloud.index``, or
+    the one given for it), the clouds' sizes and the rows' ranges, and reads
+    each cloud's kNN table in place. On construction each table is made as
+    wide as the largest params count below its cloud's size, the widest that
+    any of the params can read there, so a count from outside the program
+    builds no table wider than its cloud. ``keep`` gathers only what its rule
+    reads, once per count, and keeps it for the stack's life: ROR/DROR's
+    column m - 1 of every table in ``columns`` (8 * sum(n) bytes per m), and
+    SOR/DSOR's prefix means d with each cloud's mean and std of them in
+    ``means`` (3 * 8 * sum(n) bytes per k).
     """
 
     def __init__(self, clouds, params, indexes=None):
         clouds = list(clouds)
         rows = [(c, i) for c, i in zip(clouds, indexes or [None] * len(clouds)) if c.count]
+        self.indexes = [index or cloud.index for cloud, index in rows]
         self.sizes = [cloud.count for cloud, _ in rows]
-        largest, smallest = max(self.sizes, default=0), min(self.sizes, default=0)
-        counts = [(_count(p), largest if isinstance(p, (Ror, Dror)) else smallest) for p in params]
-        self.count = max((m for m, _ in counts), default=0)
-        width = max((m for m, limit in counts if m < limit), default=0)
-        tables = [(index or cloud.index).knn_dists(width) for cloud, index in rows]
-        ranges = [cloud.ranges for cloud, _ in rows]
-        self.table = tables[0] if len(tables) == 1 else np.concatenate(
-            [np.empty((0, width)), *tables])
-        self.ranges = ranges[0] if len(ranges) == 1 else np.concatenate([np.empty(0), *ranges])
-        self.row_sizes = np.repeat(self.sizes, self.sizes)
+        self.ranges = _concat([cloud.ranges for cloud, _ in rows])
+        counts = [_count(p) for p in params]
+        for index, n in zip(self.indexes, self.sizes):
+            index.knn_dists(max((c for c in counts if c < n), default=0))
+        self.columns = {}
         self.means = {}
 
     def keep(self, params: FilterParams) -> np.ndarray:
         """Keep-mask over all rows: ROR/DROR's order statistic, SOR/DSOR's prefix mean."""
         m = _count(params)
-        if m > self.count:
-            raise InvalidInputError(f"params count {m} exceeds the stack's {self.count}")
         if isinstance(params, (Ror, Dror)):
-            if m > self.table.shape[1]:
-                # Only when every cloud has at most m points.
-                return np.zeros(self.table.shape[0], dtype=bool)
             if m == 0:
-                return np.ones(self.table.shape[0], dtype=bool)
-            # Rows of clouds with at most m points read padding: those clouds keep none.
-            return (self.table[:, m - 1] <= params.bound(self.ranges)) & (m < self.row_sizes)
+                return np.ones(len(self.ranges), dtype=bool)
+            if m not in self.columns:
+                # A cloud of at most m points gets nan, never <= a bound (even inf): it keeps none.
+                self.columns[m] = _concat([
+                    index.knn_dists(m)[:, m - 1] if m < n else np.full(n, np.nan)
+                    for index, n in zip(self.indexes, self.sizes)])
+            return self.columns[m] <= params.bound(self.ranges)
         d, mean, std = self._means(m)
         return d <= params.bound(self.ranges, mean, std)
 
@@ -249,14 +248,10 @@ class CloudStack:
         if too_few:
             raise TooFewPointsError(f"need at least {k + 1} points, have {too_few[0]}")
         if k not in self.means:
-            d = self.table[:, :k].mean(axis=1)
-            # Each cloud's statistics come from numpy's own calls on its slice, as for one cloud.
-            ends = itertools.accumulate(self.sizes)
-            parts = [d[end - n:end] for n, end in zip(self.sizes, ends)]
-            stats = np.array([(part.mean(), part.std()) for part in parts]).reshape(-1, 2)
-            # One cloud keeps its two scalars; several repeat theirs over their rows.
-            mean, std = stats[0] if len(parts) == 1 else np.repeat(stats.T, self.sizes, axis=1)
-            self.means[k] = d, mean, std
+            # The same numpy calls on each cloud's own rows as for one cloud, so bit for bit.
+            ds = [index.knn_dists(k).mean(axis=1) for index in self.indexes]
+            self.means[k] = (_concat(ds), _concat([np.full(len(d), d.mean()) for d in ds]),
+                             _concat([np.full(len(d), d.std()) for d in ds]))
         return self.means[k]
 
 

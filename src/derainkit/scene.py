@@ -98,8 +98,9 @@ class SceneSpec:
         object.__setattr__(
             self, "road_polygon", np.asarray(self.road_polygon, dtype=np.float64).reshape(-1, 2)
         )
-        if not all(map(math.isfinite, self.road_polygon.ravel().tolist())):
-            raise InvalidSpecError("road polygon vertices must be finite")
+        # Beyond 1e100 the cross products of the polygon tests overflow.
+        if not (np.abs(self.road_polygon) <= 1e100).all():
+            raise InvalidSpecError("road polygon vertices must lie in [-1e100, 1e100]")
 
 
 def _segments_intersect(p1, p2, p3, p4) -> bool:

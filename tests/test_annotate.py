@@ -10,7 +10,6 @@ from derainkit import (
     auto_annotate,
     brute_force_transfer,
     builtin_scene,
-    point_in_polygon,
     ransac_plane,
     transfer_labels,
 )
@@ -22,7 +21,7 @@ from derainkit.errors import (
     InvalidSpecError,
     TooFewPointsError,
 )
-from derainkit.scene import OrientedBox
+from derainkit.scene import OrientedBox, points_in_polygon
 
 SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 
@@ -71,10 +70,8 @@ def test_ransac_more_iterations_never_worse():
 
 
 def test_point_in_polygon_cases():
-    assert point_in_polygon((0.5, 0.5), SQUARE)
-    assert not point_in_polygon((2, 2), SQUARE)
-    assert point_in_polygon((0, 0), SQUARE)
-    assert point_in_polygon((0.5, 0), SQUARE)
+    inside = points_in_polygon([(0.5, 0.5), (2, 2), (0, 0), (0.5, 0)], SQUARE)
+    np.testing.assert_array_equal(inside, [True, False, True, True])
 
 
 def synthetic_annotation_case(seed=0):
@@ -128,7 +125,7 @@ def test_auto_annotate_no_rain_outside_polygon_or_below_plane():
     labels = auto_annotate(cloud, scene, RansacConfig(iterations=100, inlier_threshold=0.03))
     rain_pts = cloud.coords[labels.labels == RAIN]
     assert (rain_pts[:, 2] > 0).all()
-    assert all(point_in_polygon(p, scene.road_polygon) for p in rain_pts[:, :2])
+    assert points_in_polygon(rain_pts[:, :2], scene.road_polygon).all()
 
 
 def test_annotation_scene_from_spec_splits_and_inflates():
@@ -152,6 +149,15 @@ def test_annotation_scene_needs_three_vertices():
     for polygon in ([], [(0, 0), (1, 0)], [(0, 0), (1, 0), (float("nan"), 1)]):
         with pytest.raises(DegeneratePolygonError):
             AnnotationScene((), (), polygon)
+
+
+def test_annotation_scene_rejects_polygon_past_1e100():
+    """Past 1e100 the edge tolerance overflows to inf and every point is on an edge."""
+    with pytest.raises(DegeneratePolygonError):
+        AnnotationScene((), (), np.array(SQUARE) * 1e200)
+    diamond = AnnotationScene((), (), np.array([(1, 0), (0, 1), (-1, 0), (0, -1)]) * 1e100)
+    np.testing.assert_array_equal(
+        points_in_polygon([(5e100, 5e100), (2e99, 2e99)], diamond.road_polygon), [False, True])
 
 
 @pytest.mark.parametrize("bad", [

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,13 @@ def file_hashes(root: Path) -> dict:
         for p in sorted(root.rglob("*"))
         if p.is_file()
     }
+
+
+def test_cli_import_leaves_scipy_spatial_unloaded():
+    """scipy.spatial takes most of the CLI's start-up; only building a kd-tree imports it."""
+    code = "import sys, derainkit.cli; print('scipy.spatial' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_help_exits_zero(capsys):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.spatial
 from scipy.spatial import cKDTree
 
 from derainkit import (
@@ -128,22 +129,24 @@ def test_benchmark_empty_dataset():
 
 
 def test_benchmark_times_each_filter_from_scratch(monkeypatch):
-    """A filter's timed run reuses no per-k statistics that an earlier filter left."""
+    """A filter's timed run reuses no column or per-k statistics that an earlier filter left."""
     cached = []
     keep = filters.CloudStack.keep
 
     def spying_keep(stack, params):
-        cached.append(len(stack.means))
+        cached.append((len(stack.columns), len(stack.means)))
         return keep(stack, params)
 
     monkeypatch.setattr(filters.CloudStack, "keep", spying_keep)
-    benchmark_run(rain_dataset(2, seed=7), [("sor", Sor(5, 1.0)), ("dsor", Dsor(5, 1.0, 0.05))])
-    assert cached == [0, 0]
+    benchmark_run(rain_dataset(2, seed=7), [
+        ("ror", Ror(0.5, 5)), ("dror", Dror(0.01, 3.0, 5, 0.04)),
+        ("sor", Sor(5, 1.0)), ("dsor", Dsor(5, 1.0, 0.05))])
+    assert cached == [(0, 0)] * 4
 
 
-def test_counts_past_cloud_sizes():
-    """Counts larger than every cloud keep none (ROR/DROR) or raise (SOR/DSOR) without
-    building a table that wide."""
+def test_counts_past_cloud_sizes(knn_widths):
+    """Counts larger than a cloud keep none of it (ROR/DROR) or raise (SOR/DSOR), and no
+    cloud's table is asked for as many columns as the cloud has points."""
     data = pairs(rain_dataset(2, seed=6))
     largest = max(cloud.count for cloud, _ in data)
     assert pooled_f1(data, Ror(0.5, 10**12)) == pooled_f1(data, Ror(0.5, largest))
@@ -151,6 +154,19 @@ def test_counts_past_cloud_sizes():
     for params in (Sor(10**12, 1.0), Dsor(10**12, 1.0, 0.05)):
         with pytest.raises(TooFewPointsError):
             pooled_f1(data, params)
+    # Clouds of mixed sizes: a count between them reads only the larger clouds' tables.
+    rng = np.random.default_rng(6)
+    clouds = [cloud for cloud, _ in data] + [
+        PointCloud(rng.uniform(0, 2, (n, 3)), np.full(n, 0.5)) for n in (1, 4, 9)]
+    for m in (0, 1, 3, 4, 8, 9, largest - 1, largest, 10**12):
+        params = [Ror(0.6, m), Dror(0.01, 3.0, m, 0.04)]
+        stack = filters.CloudStack(clouds, params)
+        for p in params:
+            np.testing.assert_array_equal(
+                stack.keep(p), np.concatenate([filters.apply_filter(c, p) for c in clouds]))
+    with pytest.raises(TooFewPointsError):
+        filters.CloudStack(clouds, [Sor(4, 1.0)]).keep(Sor(4, 1.0))
+    assert knn_widths and all(k < n for n, k in knn_widths)
 
 
 def test_metrics_invariant_under_duplication():
@@ -173,7 +189,7 @@ def test_one_tree_per_cloud_across_tuning_and_benchmark(monkeypatch):
         built.append(coords)
         return cKDTree(coords)
 
-    monkeypatch.setattr(filters, "cKDTree", counting_tree)
+    monkeypatch.setattr(scipy.spatial, "cKDTree", counting_tree)
     dataset = rain_dataset(3, seed=4) + [(empty_cloud(), LabelSet([]), "heavy")]
     dataset += rain_dataset(2, seed=5, tag="light")
     for kind in DEFAULT_SEARCH_SPACES:

@@ -13,7 +13,7 @@ from derainkit import (
     build_index,
 )
 from derainkit.core import empty_cloud
-from derainkit.filters import DEFAULT_PARAMS, KINDS, SpatialIndex
+from derainkit.filters import DEFAULT_PARAMS, KINDS, CloudStack, SpatialIndex
 from derainkit.errors import (
     EmptyIndexError,
     InvalidInputError,
@@ -127,6 +127,7 @@ def test_radius_filters_exact_on_boundary(decimals):
                                                   brute_force_mask(cloud, params))
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("m, kept", [(1, True), (2, False), (3, False)])
 def test_dror_radius_overflow_counts_real_neighbors_only(m, kept):
     """beta * alpha * range overflows to inf; each of two points still has one neighbor.
@@ -198,27 +199,13 @@ def test_ror_hand_case():
     np.testing.assert_array_equal(apply_filter(cloud, Ror(0.5, 1)), [True, True, False])
 
 
-def record_widths(monkeypatch):
-    """The widths of the kNN tables that filters ask their indexes for, in call order."""
-    widths = []
-    knn_dists = SpatialIndex.knn_dists
-
-    def recording(index, k):
-        widths.append(k)
-        return knn_dists(index, k)
-
-    monkeypatch.setattr(SpatialIndex, "knn_dists", recording)
-    return widths
-
-
-def test_ror_empty(monkeypatch):
+def test_ror_empty(knn_widths):
     assert apply_filter(empty_cloud(), Ror(1.0, 1)).shape == (0,)
     # A count past the cloud's size keeps none, and reads no table column.
-    widths = record_widths(monkeypatch)
     cloud = random_cloud(700, 1)
     for params in (Ror(1.0, 10**12), Dror(0.01, 3.0, 10**12, 0.04), Ror(1.0, 700)):
         assert not apply_filter(cloud, params).any()
-    assert set(widths) == {0}
+    assert {k for _, k in knn_widths} == {0}
 
 
 def test_sor_hand_case():
@@ -227,15 +214,29 @@ def test_sor_hand_case():
     np.testing.assert_array_equal(apply_filter(cloud, Sor(1, 0.0)), [True, True, False])
 
 
-def test_sor_too_few_points(monkeypatch):
+def test_sor_too_few_points(knn_widths):
     with pytest.raises(TooFewPointsError):
         apply_filter(random_cloud(3, 2), Sor(5, 1.0))
     # A k past the cloud's size raises without reading a table column.
-    widths = record_widths(monkeypatch)
     for params in (Sor(10**12, 1.0), Dsor(10**12, 1.0, 0.05), Sor(700, 1.0)):
         with pytest.raises(TooFewPointsError):
             apply_filter(random_cloud(700, 2), params)
-    assert set(widths) == {0}
+    assert {k for _, k in knn_widths} == {0}
+
+
+def test_stack_keeps_counts_wider_than_it_was_built_for():
+    """keep reads a count past the stack's params from a wider table; it holds no n x k array."""
+    clouds = [random_cloud(n, seed) for n, seed in ((60, 20), (90, 21), (5, 22))]
+    stack = CloudStack(clouds, [Ror(1.0, 2)])
+    for params in (Ror(2.0, 12), Dror(0.02, 3.0, 30, 0.5), Ror(2.0, 2)):
+        np.testing.assert_array_equal(
+            stack.keep(params), np.concatenate([brute_force_mask(c, params) for c in clouds]))
+    stack = CloudStack(clouds[:2], [Sor(2, 1.0)])
+    for params in (Sor(9, 1.0), Dsor(40, 0.5, 0.3)):
+        np.testing.assert_array_equal(
+            stack.keep(params), np.concatenate([brute_force_mask(c, params) for c in clouds[:2]]))
+    arrays = [stack.ranges, *stack.columns.values(), *(a for v in stack.means.values() for a in v)]
+    assert all(a.ndim == 1 for a in arrays)
 
 
 def test_sor_large_s_keeps_all():

@@ -4,7 +4,7 @@ import pytest
 from derainkit import SensorCalibration, builtin_scene, raycast_scene
 from derainkit.core import RAIN
 from derainkit.errors import InvalidSpecError, UnknownSceneError
-from derainkit.scene import OrientedBox, SceneSpec, points_in_polygon
+from derainkit.scene import OrientedBox, SceneSpec, points_in_polygon, validate_scene
 
 
 def single_beam_calib(elevation, azimuth=0.0, r_max=60.0, sensor_height=2.0):
@@ -131,6 +131,15 @@ def test_box_rejects_bad_values(field, bad):
 def test_scene_spec_rejects_bad_values(field, bad):
     with pytest.raises(InvalidSpecError):
         SceneSpec(**{**SPEC, field: bad})
+
+
+def test_scene_spec_rejects_polygon_past_1e100():
+    """Past 1e100 the self-intersection test's cross products overflow: a convex
+    quadrilateral would be called self-intersecting."""
+    quad = np.array([(0, 0), (3, 1), (2, 4), (-1, 2)], dtype=float)
+    with pytest.raises(InvalidSpecError):
+        SceneSpec(**{**SPEC, "road_polygon": quad * 1e200})
+    validate_scene(SceneSpec(**{**SPEC, "road_polygon": quad * 1e99}))
 
 
 def test_box_frame_is_the_yaw_rotation():
