@@ -23,7 +23,6 @@ from .core import (
     SensorCalibration,
     grid_calibration,
     merge_clouds,
-    validate_cloud,
 )
 from .pgm import PolarGridMap, flatten, nearest_angle_index, project_to_pgm, to_euclidean, to_polar
 from .scene import OrientedBox, SceneSpec, builtin_scene, raycast_scene

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BACKGROUND, RAIN, ROAD, SPRINKLER, LabelSet, PointCloud, validate_cloud
+from .core import BACKGROUND, RAIN, ROAD, SPRINKLER, LabelSet, PointCloud
 from .errors import (
     DegeneratePolygonError,
     EmptySourceError,
@@ -82,7 +82,6 @@ def ransac_plane(cloud: PointCloud, iterations: int, inlier_threshold: float,
     iteration budget. Deterministic for a fixed seed.
     """
     RansacConfig(iterations, inlier_threshold, seed)  # checks the three values
-    validate_cloud(cloud)
     if cloud.count < 3:
         raise TooFewPointsError(f"plane fit needs >= 3 points, have {cloud.count}")
 
@@ -146,7 +145,6 @@ def auto_annotate(
     plane_tolerance: float = 0.1,
 ) -> LabelSet:
     """Label a cloud by elimination against the fitted road plane and scene boxes."""
-    validate_cloud(cloud)
     plane = ransac_plane(cloud, ransac.iterations, ransac.inlier_threshold, ransac.seed)
     d = plane.signed_distance(cloud.coords)
 
@@ -166,8 +164,6 @@ def auto_annotate(
 
 
 def _check_transfer(src_cloud: PointCloud, src_labels: LabelSet, dst_cloud: PointCloud) -> None:
-    validate_cloud(src_cloud)
-    validate_cloud(dst_cloud)
     if src_cloud.count == 0:
         raise EmptySourceError("source cloud is empty")
     if src_labels.count != src_cloud.count:

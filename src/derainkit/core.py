@@ -1,7 +1,8 @@
 """Shared domain types: point clouds, sensor calibration, labels, confusion counts.
 
-All types are plain immutable values built on numpy arrays. Operations here
-are pure; nothing mutates its inputs.
+All types are plain immutable values built on numpy arrays, each checked once,
+by its constructor; a bad point or label raises a typed error naming its index.
+Operations here are pure; nothing mutates its inputs.
 """
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import numpy as np
 
 from .errors import (
     IntensityOutOfRangeError,
+    InvalidClassError,
     InvalidInputError,
     LengthMismatchError,
     NonFiniteCoordinateError,
@@ -45,16 +47,29 @@ CLASS_NAMES = {
 
 @dataclass(frozen=True)
 class PointCloud:
-    """N points: 3D sensor-frame coords (m), intensity in [0, 1], both read-only copies."""
+    """N points: finite 3D sensor-frame coords (m), intensity in [0, 1], both read-only copies."""
 
     coords: np.ndarray
     intensity: np.ndarray
 
     def __post_init__(self):
-        for name, shape in (("coords", (-1, 3)), ("intensity", (-1,))):
-            array = np.array(getattr(self, name), dtype=np.float64).reshape(shape)
-            array.flags.writeable = False
-            object.__setattr__(self, name, array)
+        # Widening a float32 signalling NaN sets the invalid flag; the check below names it.
+        with np.errstate(invalid="ignore"):
+            for name, shape in (("coords", (-1, 3)), ("intensity", (-1,))):
+                array = np.array(getattr(self, name), dtype=np.float64).reshape(shape)
+                array.flags.writeable = False
+                object.__setattr__(self, name, array)
+        coords, intensity = self.coords, self.intensity
+        if coords.shape[0] != intensity.shape[0]:
+            raise LengthMismatchError(
+                f"coords has {coords.shape[0]} points, intensity has {intensity.shape[0]}"
+            )
+        # One flat pass per check; the offending row is looked for only on failure.
+        if not np.isfinite(coords).all():
+            raise NonFiniteCoordinateError(int(np.argmin(np.isfinite(coords).all(axis=1))))
+        in_range = (intensity >= 0.0) & (intensity <= 1.0)  # NaN fails both
+        if not in_range.all():
+            raise IntensityOutOfRangeError(int(np.argmin(in_range)))
 
     @property
     def count(self) -> int:
@@ -80,12 +95,15 @@ def empty_cloud() -> PointCloud:
 
 @dataclass(frozen=True)
 class LabelSet:
-    """Per-point semantic class ids paired with a cloud of the same length."""
+    """Per-point semantic class ids in [0, NUM_CLASSES), paired with a cloud of the same length."""
 
     labels: np.ndarray
 
     def __post_init__(self):
         labels = np.asarray(self.labels, dtype=np.int32).reshape(-1)
+        valid = (labels >= 0) & (labels < NUM_CLASSES)
+        if not valid.all():
+            raise InvalidClassError(int(np.argmin(valid)))
         object.__setattr__(self, "labels", labels)
 
     @property
@@ -179,21 +197,6 @@ class ConfusionCounts:
         )
 
 
-def validate_cloud(cloud: PointCloud) -> None:
-    """Raise a typed error naming the first offending index, or return None."""
-    if cloud.coords.shape[0] != cloud.intensity.shape[0]:
-        raise LengthMismatchError(
-            f"coords has {cloud.coords.shape[0]} points, intensity has "
-            f"{cloud.intensity.shape[0]}"
-        )
-    finite = np.isfinite(cloud.coords).all(axis=1)
-    if not finite.all():
-        raise NonFiniteCoordinateError(int(np.argmin(finite)))
-    ok = np.isfinite(cloud.intensity) & (cloud.intensity >= 0.0) & (cloud.intensity <= 1.0)
-    if not ok.all():
-        raise IntensityOutOfRangeError(int(np.argmin(ok)))
-
-
 def merge_clouds(
     a: PointCloud,
     a_labels: LabelSet,
@@ -202,10 +205,6 @@ def merge_clouds(
 ) -> tuple[PointCloud, LabelSet]:
     """Early fusion: concatenate two labeled clouds, a's points first."""
     for cloud, labels in ((a, a_labels), (b, b_labels)):
-        try:
-            validate_cloud(cloud)
-        except (LengthMismatchError, NonFiniteCoordinateError, IntensityOutOfRangeError) as exc:
-            raise InvalidInputError(f"invalid cloud: {exc}") from exc
         if labels.count != cloud.count:
             raise InvalidInputError(
                 f"labels ({labels.count}) do not match cloud ({cloud.count})"

@@ -11,8 +11,8 @@ by ``_encode`` and read by ``_decode`` from each field's declared type: float is
 any JSON number but a boolean, int an integral number, an array nested lists of
 numbers in the field's ``shape`` metadata, a tuple a list of ``item`` objects.
 A scene nests its ground normal and offset under "ground_plane"; a filter
-object leads with its "kind". Readers check JSON types only: each value is
-checked by the constructor it is handed to.
+object leads with its "kind". Readers check JSON types and byte layouts only:
+each value is checked by the constructor it is handed to, e.g. ``PointCloud``.
 
 Readers map every malformed input to a typed error; they never crash on
 arbitrary bytes.
@@ -24,17 +24,17 @@ import json
 
 import numpy as np
 
-from .core import NUM_CLASSES, LabelSet, PointCloud, SensorCalibration, validate_cloud
+from .core import LabelSet, PointCloud, SensorCalibration
 from .errors import (
-    InvalidClassError,
     InvalidMaskByteError,
+    NonFiniteCoordinateError,
     SchemaError,
     TruncatedFileError,
 )
 from .evaluation import BenchmarkRow, MetricReport
 from .filters import KINDS, FilterParams
 from .rainsim import RainConfig
-from .scene import SceneSpec, validate_scene
+from .scene import SceneSpec
 from .annotate import AnnotationScene
 
 RESULTS_COLUMNS = ("filter", "rain_density", "precision", "recall", "f1", "rain_iou", "time_ms")
@@ -43,9 +43,13 @@ RESULTS_COLUMNS = ("filter", "rain_density", "precision", "recall", "f1", "rain_
 # ---------------------------------------------------------------- binary
 
 def write_cloud(cloud: PointCloud) -> bytes:
+    """Raises NonFiniteCoordinateError for a coordinate float32 would hold as inf."""
     quads = np.empty((cloud.count, 4), dtype="<f4")
-    quads[:, :3] = cloud.coords
+    with np.errstate(over="ignore"):
+        quads[:, :3] = cloud.coords
     quads[:, 3] = cloud.intensity
+    if not np.isfinite(quads).all():
+        raise NonFiniteCoordinateError(int(np.argmin(np.isfinite(quads).all(axis=1))))
     return quads.tobytes()
 
 
@@ -53,9 +57,7 @@ def read_cloud(data: bytes) -> PointCloud:
     if len(data) % 16 != 0:
         raise TruncatedFileError(f"cloud file length {len(data)} is not a multiple of 16")
     quads = np.frombuffer(data, dtype="<f4").reshape(-1, 4)
-    cloud = PointCloud(quads[:, :3], quads[:, 3])
-    validate_cloud(cloud)
-    return cloud
+    return PointCloud(quads[:, :3], quads[:, 3])
 
 
 def write_labels(labels: LabelSet) -> bytes:
@@ -65,11 +67,8 @@ def write_labels(labels: LabelSet) -> bytes:
 def read_labels(data: bytes) -> LabelSet:
     if len(data) % 4 != 0:
         raise TruncatedFileError(f"label file length {len(data)} is not a multiple of 4")
-    raw = np.frombuffer(data, dtype="<u4")
-    valid = (raw >> 16 == 0) & (raw < NUM_CLASSES)
-    if raw.size and not valid.all():
-        raise InvalidClassError(int(np.argmin(valid)))
-    return LabelSet(raw.astype(np.int32))
+    # Reserved high bits and ids >= 2**31, read as int32, fall outside [0, NUM_CLASSES).
+    return LabelSet(np.frombuffer(data, dtype="<u4").astype(np.int32))
 
 
 def write_mask(mask: np.ndarray) -> bytes:
@@ -173,13 +172,11 @@ def write_scene_json(spec: SceneSpec) -> str:
 def read_scene_json(text: str) -> SceneSpec:
     obj = _parse_json(text)
     plane = _get(obj, "ground_plane", "", dict)
-    spec = _decode(SceneSpec, obj, "",
+    return _decode(SceneSpec, obj, "",
                    ground_normal=_vector(_get(plane, "normal", "/ground_plane"),
                                          "/ground_plane/normal", (3,)),
                    ground_offset=_number(_get(plane, "offset", "/ground_plane"),
                                          "/ground_plane/offset"))
-    validate_scene(spec)
-    return spec
 
 
 def write_annotation_json(scene: AnnotationScene) -> str:

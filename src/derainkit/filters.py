@@ -37,7 +37,7 @@ from typing import ClassVar, Union
 
 import numpy as np
 
-from .core import PointCloud, validate_cloud
+from .core import PointCloud
 from .errors import EmptyIndexError, InvalidInputError, TooFewPointsError, TooLargeError
 
 BRUTE_FORCE_LIMIT = 2000
@@ -158,7 +158,6 @@ class SpatialIndex:
 
     def __init__(self, cloud: PointCloud):
         from scipy.spatial import cKDTree  # here, not at module level: it is slow to import
-        validate_cloud(cloud)
         self.coords = cloud.coords
         self.count = cloud.count
         self._tree = cKDTree(cloud.coords) if cloud.count else None

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PointCloud, SensorCalibration, validate_cloud
+from .core import PointCloud, SensorCalibration
 from .errors import EmptyCalibrationError, EmptyTableError, OriginPointError
 
 
@@ -96,7 +96,6 @@ def project_to_pgm(cloud: PointCloud, calib: SensorCalibration) -> PolarGridMap:
     without a point become unreturned: range r_max, intensity 0, coordinates
     on the beam axis at r_max.
     """
-    validate_cloud(cloud)
     if calib.v == 0 or calib.h == 0:
         raise EmptyCalibrationError("calibration tables must be non-empty")
     v, h = calib.v, calib.h

@@ -4,7 +4,8 @@ Casts the calibrated beam pattern against a parametric scene (ground plane,
 yaw-rotated boxes, road polygon) and emits a labeled polar grid map. This is
 the ground-truth generator: box hits carry the box class, ground hits inside
 the road polygon are road, other ground hits are background, sky beams are
-unreturned. Rain labels never originate here.
+unreturned. Rain labels never originate here. The scene types check their
+values when built, so every ``SceneSpec`` that constructs can be raycast.
 
 Scene geometry lives in a world frame whose z axis points up; the sensor sits
 at (0, 0, sensor_height) and output coordinates are sensor-frame.
@@ -71,26 +72,28 @@ class OrientedBox:
 
 @dataclass(frozen=True)
 class SceneSpec:
-    """Parametric scene: ground plane, labeled boxes, road polygon."""
+    """Parametric scene: upward ground plane, labeled boxes, simple road polygon."""
 
     ground_normal: np.ndarray = field(metadata={"shape": (3,)})
     ground_offset: float
-    boxes: tuple = field(default=(), metadata={"item": OrientedBox})
-    road_polygon: np.ndarray = field(default_factory=lambda: np.empty((0, 2)),
-                                     metadata={"shape": (-1, 2)})
+    boxes: tuple = field(metadata={"item": OrientedBox})
+    road_polygon: np.ndarray = field(metadata={"shape": (-1, 2)})
     ground_reflectance: float = 0.3
 
     def __post_init__(self):
         normal = np.asarray(self.ground_normal, dtype=np.float64).reshape(3)
         if not all(map(math.isfinite, [*normal.tolist(), self.ground_offset])):
             raise InvalidSpecError("ground normal and offset must be finite")
-        norm = np.linalg.norm(normal)
+        # A component past 1e100 is rejected before its square can overflow the norm.
+        norm = np.linalg.norm(normal) if np.abs(normal).max() <= 1e100 else math.inf
         if not 1e-100 <= norm <= 1e100:  # outside, the squares under- or overflow
             raise InvalidSpecError("ground normal length must lie in [1e-100, 1e100]")
         # A normal of unit length within rounding is kept as it is, so normalizing a
         # normalized spec changes nothing and its JSON round trip is exact.
         if abs(norm - 1.0) > 1e-12:
             normal = normal / norm
+        if not normal[2] > 0:
+            raise InvalidSpecError("ground normal must have positive z component")
         object.__setattr__(self, "ground_normal", normal)
         if not 0 <= self.ground_reflectance <= 1:
             raise InvalidSpecError("ground reflectance must be in [0, 1]")
@@ -101,6 +104,10 @@ class SceneSpec:
         # Beyond 1e100 the cross products of the polygon tests overflow.
         if not (np.abs(self.road_polygon) <= 1e100).all():
             raise InvalidSpecError("road polygon vertices must lie in [-1e100, 1e100]")
+        if self.road_polygon.shape[0] < 3:
+            raise InvalidSpecError("road polygon needs at least 3 vertices")
+        if not _polygon_is_simple(self.road_polygon):
+            raise InvalidSpecError("road polygon is self-intersecting")
 
 
 def _segments_intersect(p1, p2, p3, p4) -> bool:
@@ -115,7 +122,8 @@ def _segments_intersect(p1, p2, p3, p4) -> bool:
 
 
 def _polygon_is_simple(poly: np.ndarray) -> bool:
-    n = poly.shape[0]
+    poly = poly.tolist()  # Python floats: the same double arithmetic as numpy scalars, faster
+    n = len(poly)
     for i in range(n):
         a1, a2 = poly[i], poly[(i + 1) % n]
         for j in range(i + 1, n):
@@ -124,15 +132,6 @@ def _polygon_is_simple(poly: np.ndarray) -> bool:
             if _segments_intersect(a1, a2, poly[j], poly[(j + 1) % n]):
                 return False
     return True
-
-
-def validate_scene(spec: SceneSpec) -> None:
-    if spec.ground_normal[2] <= 0:
-        raise InvalidSpecError("ground normal must have positive z component")
-    if spec.road_polygon.shape[0] < 3:
-        raise InvalidSpecError("road polygon needs at least 3 vertices")
-    if not _polygon_is_simple(spec.road_polygon):
-        raise InvalidSpecError("road polygon is self-intersecting")
 
 
 def builtin_scene(name: str) -> SceneSpec:
@@ -203,10 +202,8 @@ def points_in_polygon(xy: np.ndarray, polygon: np.ndarray) -> np.ndarray:
         dot = (x - ax) * (bx - ax) + (y - ay) * (by - ay)
         seg_len2 = (bx - ax) ** 2 + (by - ay) ** 2
         on_edge |= (np.abs(cross) <= eps) & (dot >= -eps) & (dot <= seg_len2 + eps)
-        crosses = ((ay > y) != (by > y)) & (
-            x < (bx - ax) * (y - ay) / (by - ay + np.where(by == ay, 1e-300, 0.0)) + ax
-        )
-        inside ^= crosses
+        if by != ay:  # a horizontal edge is never crossed, so it is not divided by
+            inside ^= ((ay > y) != (by > y)) & (x < (bx - ax) * (y - ay) / (by - ay) + ax)
     return inside | on_edge
 
 
@@ -222,7 +219,6 @@ def raycast_scene(
     (length V*H). Range noise is zero-mean Gaussian along the ray, drawn from
     a counter-based generator so results are schedule-independent.
     """
-    validate_scene(spec)
     if noise_sigma < 0:
         raise InvalidSpecError("noise_sigma must be non-negative")
     v, h = calib.v, calib.h

@@ -7,12 +7,13 @@ from derainkit import (
     PointCloud,
     SensorCalibration,
     merge_clouds,
-    validate_cloud,
 )
 from derainkit.core import empty_cloud
 from derainkit.errors import (
     IntensityOutOfRangeError,
+    InvalidClassError,
     InvalidInputError,
+    LengthMismatchError,
     NonFiniteCoordinateError,
 )
 
@@ -23,27 +24,49 @@ def make_cloud(n, seed=0):
 
 
 def test_validate_empty_cloud_succeeds():
-    validate_cloud(empty_cloud())
+    assert empty_cloud().count == 0
 
 
 def test_validate_intensity_out_of_range_names_index():
     good = make_cloud(5)
     intensity = good.intensity.copy()
     intensity[3] = 1.5
-    cloud = PointCloud(good.coords, intensity)
     with pytest.raises(IntensityOutOfRangeError) as err:
-        validate_cloud(cloud)
+        PointCloud(good.coords, intensity)
     assert err.value.index == 3
+    for intensity, index in (([0.5, -0.0, 1.0, np.nan], 3), ([-1e-300, 0.5, 0.5, 0.5], 0),
+                             ([1.0, np.inf, -np.inf, 0.5], 1)):
+        with pytest.raises(IntensityOutOfRangeError) as err:
+            PointCloud(np.zeros((4, 3)), intensity)
+        assert err.value.index == index
 
 
 def test_validate_nan_coordinate_names_index():
     good = make_cloud(4)
     coords = good.coords.copy()
     coords[0, 0] = np.nan
-    cloud = PointCloud(coords, good.intensity)
     with pytest.raises(NonFiniteCoordinateError) as err:
-        validate_cloud(cloud)
+        PointCloud(coords, good.intensity)
     assert err.value.index == 0
+    coords = np.zeros((6, 3))
+    coords[4, 2] = -np.inf
+    coords[2, 1] = np.nan
+    with pytest.raises(NonFiniteCoordinateError) as err:  # checked before intensity
+        PointCloud(coords, np.full(6, 2.0))
+    assert err.value.index == 2
+
+
+def test_cloud_needs_one_intensity_per_point():
+    with pytest.raises(LengthMismatchError):
+        PointCloud([[0, 0, 0]], [0.5, 0.5])
+
+
+def test_labels_reject_ids_outside_the_classes():
+    for labels, index in (([9], 0), ([0, -1], 1), ([7, 0, 8, -1], 2)):
+        with pytest.raises(InvalidClassError) as err:
+            LabelSet(labels)
+        assert err.value.index == index
+    np.testing.assert_array_equal(LabelSet(range(8)).labels, np.arange(8))
 
 
 def test_cloud_arrays_are_read_only_copies():
@@ -104,9 +127,10 @@ def test_merge_concatenates_in_order():
 
 
 def test_merge_rejects_invalid_input():
-    bad = PointCloud([[np.inf, 0, 0]], [0.5])
     with pytest.raises(InvalidInputError):
-        merge_clouds(bad, LabelSet([0]), empty_cloud(), LabelSet([]))
+        merge_clouds(make_cloud(2), LabelSet([0]), empty_cloud(), LabelSet([]))
+    with pytest.raises(InvalidInputError):
+        merge_clouds(empty_cloud(), LabelSet([]), make_cloud(1), LabelSet([0, 0]))
 
 
 def test_merge_count_additive_and_associative_up_to_order():
@@ -119,7 +143,6 @@ def test_merge_count_additive_and_associative_up_to_order():
     assert left.count == right.count == 15
     np.testing.assert_array_equal(left.coords, right.coords)
     np.testing.assert_array_equal(llab.labels, rlab.labels)
-    validate_cloud(left)
 
 
 def test_confusion_counts_total():

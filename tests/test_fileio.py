@@ -45,10 +45,20 @@ def test_cloud_truncated():
         fileio.read_cloud(b"\x00" * 17)
 
 
+@pytest.mark.filterwarnings("error")
 def test_cloud_nonfinite_rejected():
     bad = np.array([[np.nan, 0, 0, 0.5]], dtype="<f4").tobytes()
     with pytest.raises(NonFiniteCoordinateError):
         fileio.read_cloud(bad)
+    # Widening a float32 signalling NaN sets the invalid flag; it is still a typed error.
+    words = np.array([[0, 0, 0, 0x3F00_0000], [0x7F80_0001, 0, 0, 0x7FA0_0000]], dtype="<u4")
+    with pytest.raises(NonFiniteCoordinateError) as err:
+        fileio.read_cloud(words.tobytes())
+    assert err.value.index == 1
+    words[1, 0] = 0
+    with pytest.raises(IntensityOutOfRangeError) as err:
+        fileio.read_cloud(words.tobytes())
+    assert err.value.index == 1
 
 
 def test_cloud_intensity_out_of_range_rejected():
@@ -69,6 +79,16 @@ def test_cloud_round_trip_random_bit_exact():
     assert fileio.write_cloud(fileio.read_cloud(data)) == data
 
 
+@pytest.mark.filterwarnings("error")
+def test_cloud_past_float32_range_is_not_written():
+    """A coordinate that would be written as inf names its point instead."""
+    with pytest.raises(NonFiniteCoordinateError) as err:
+        fileio.write_cloud(PointCloud([[0, 0, 0], [0, 0, 0], [0, -1e39, 0]], [0.5] * 3))
+    assert err.value.index == 2
+    cloud = PointCloud([[3.4e38, -1e-50, 0]], [1.0])
+    assert fileio.read_cloud(fileio.write_cloud(cloud)).coords[0, 1] == 0.0
+
+
 def test_labels_round_trip():
     data = fileio.write_labels(LabelSet([2, 0, 7]))
     assert len(data) == 12
@@ -85,6 +105,11 @@ def test_labels_invalid_class():
 def test_labels_reserved_high_bits():
     with pytest.raises(InvalidClassError):
         fileio.read_labels(np.array([0x0001_0002], dtype="<u4").tobytes())
+    # Ids of 2**31 and above read as negative int32: still the first bad index.
+    for words, index in (([0, 2 ** 31], 1), ([3, 2 ** 32 - 1, 9], 1), ([7, 0x8001_0003], 1)):
+        with pytest.raises(InvalidClassError) as err:
+            fileio.read_labels(np.array(words, dtype="<u4").tobytes())
+        assert err.value.index == index
 
 
 def test_labels_truncated():
