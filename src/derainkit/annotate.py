@@ -5,7 +5,8 @@ Labeling precedence is total and fixed: sprinkler boxes, then object boxes,
 then rain (above plane, inside road polygon), then road (within plane
 tolerance, inside polygon), then background. Points below the plane beyond
 tolerance keep their slot as background so cloud and label lengths stay
-aligned.
+aligned. ``AnnotationScene`` holds its road polygon to ``SceneSpec``'s rule
+(``check_road_polygon``), and both keep read-only copies of their arrays.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BACKGROUND, RAIN, ROAD, SPRINKLER, LabelSet, PointCloud
+from .core import BACKGROUND, RAIN, ROAD, SPRINKLER, LabelSet, PointCloud, store_fields
 from .errors import (
     DegeneratePolygonError,
     EmptySourceError,
@@ -22,19 +23,19 @@ from .errors import (
     NoValidHypothesisError,
     TooFewPointsError,
 )
-from .scene import OrientedBox, SceneSpec, points_in_polygon
+from .scene import OrientedBox, SceneSpec, check_road_polygon, points_in_polygon
 
 
 @dataclass(frozen=True)
 class PlaneModel:
     """Plane {p : normal . p + offset = 0} with unit normal, normal.z >= 0."""
 
-    normal: np.ndarray
+    normal: np.ndarray = field(metadata={"shape": (3,)})
     offset: float
     inlier_count: int
 
     def __post_init__(self):
-        object.__setattr__(self, "normal", np.asarray(self.normal, dtype=np.float64).reshape(3))
+        store_fields(self)
 
     def signed_distance(self, coords: np.ndarray) -> np.ndarray:
         return np.asarray(coords).reshape(-1, 3) @ self.normal + self.offset
@@ -49,14 +50,8 @@ class AnnotationScene:
     road_polygon: np.ndarray = field(metadata={"shape": (-1, 2)})
 
     def __post_init__(self):
-        object.__setattr__(self, "sprinkler_boxes", tuple(self.sprinkler_boxes))
-        object.__setattr__(self, "object_boxes", tuple(self.object_boxes))
-        object.__setattr__(
-            self, "road_polygon", np.asarray(self.road_polygon, dtype=np.float64).reshape(-1, 2)
-        )
-        # Beyond 1e100 the cross products of the polygon test overflow.
-        if self.road_polygon.shape[0] < 3 or not (np.abs(self.road_polygon) <= 1e100).all():
-            raise DegeneratePolygonError("road polygon needs >= 3 vertices in [-1e100, 1e100]")
+        store_fields(self)
+        check_road_polygon(self.road_polygon, DegeneratePolygonError)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ def stage_seed(seed: int, stage: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-class CliError(Exception):
+class CliError(DerainKitError):
     """Validated-input failure; maps to exit code 1."""
 
 
@@ -273,7 +273,7 @@ def run(argv) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (CliError, DerainKitError, OSError) as exc:
+    except (DerainKitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -2,12 +2,15 @@
 
 All types are plain immutable values built on numpy arrays, each checked once,
 by its constructor; a bad point or label raises a typed error naming its index.
-Operations here are pure; nothing mutates its inputs.
+Every checked type stores its arrays through ``store_fields``: read-only copies
+in the shape and dtype each field declares, so a value that constructs stays
+valid. Operations here are pure; nothing mutates its inputs.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -45,20 +48,34 @@ CLASS_NAMES = {
 }
 
 
+def store_fields(value, **checks) -> None:
+    """Store each field of the frozen dataclass ``value`` as its metadata declares: a
+    ``shape`` field as a read-only copy in that shape and its ``dtype`` (float64 by
+    default), an ``item`` field as a tuple. A keyword names a field and a check that
+    sees the array as given, before the dtype cast."""
+    # Widening a float32 signalling NaN sets the invalid flag; the value's checks name it.
+    with np.errstate(invalid="ignore"):
+        for f in dataclasses.fields(value):
+            if "item" in f.metadata:
+                object.__setattr__(value, f.name, tuple(getattr(value, f.name)))
+            elif "shape" in f.metadata:
+                given = np.asarray(getattr(value, f.name)).reshape(f.metadata["shape"])
+                if f.name in checks:
+                    checks[f.name](given)
+                array = given.astype(f.metadata.get("dtype", np.float64))
+                array.flags.writeable = False
+                object.__setattr__(value, f.name, array)
+
+
 @dataclass(frozen=True)
 class PointCloud:
-    """N points: finite 3D sensor-frame coords (m), intensity in [0, 1], both read-only copies."""
+    """N points: finite 3D sensor-frame coords (m), intensity in [0, 1]."""
 
-    coords: np.ndarray
-    intensity: np.ndarray
+    coords: np.ndarray = field(metadata={"shape": (-1, 3)})
+    intensity: np.ndarray = field(metadata={"shape": (-1,)})
 
     def __post_init__(self):
-        # Widening a float32 signalling NaN sets the invalid flag; the check below names it.
-        with np.errstate(invalid="ignore"):
-            for name, shape in (("coords", (-1, 3)), ("intensity", (-1,))):
-                array = np.array(getattr(self, name), dtype=np.float64).reshape(shape)
-                array.flags.writeable = False
-                object.__setattr__(self, name, array)
+        store_fields(self)
         coords, intensity = self.coords, self.intensity
         if coords.shape[0] != intensity.shape[0]:
             raise LengthMismatchError(
@@ -93,18 +110,23 @@ def empty_cloud() -> PointCloud:
     return PointCloud(np.empty((0, 3)), np.empty(0))
 
 
+def _check_class_ids(ids: np.ndarray) -> None:
+    """Ids as given, so the int32 cast can neither truncate 2.7 nor wrap 2**40 into range."""
+    valid = (ids >= 0) & (ids < NUM_CLASSES)  # NaN fails both
+    if ids.dtype.kind not in "biu":
+        valid[valid] = ids[valid] % 1 == 0
+    if not valid.all():
+        raise InvalidClassError(int(np.argmin(valid)))
+
+
 @dataclass(frozen=True)
 class LabelSet:
     """Per-point semantic class ids in [0, NUM_CLASSES), paired with a cloud of the same length."""
 
-    labels: np.ndarray
+    labels: np.ndarray = field(metadata={"shape": (-1,), "dtype": np.int32})
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=np.int32).reshape(-1)
-        valid = (labels >= 0) & (labels < NUM_CLASSES)
-        if not valid.all():
-            raise InvalidClassError(int(np.argmin(valid)))
-        object.__setattr__(self, "labels", labels)
+        store_fields(self, labels=_check_class_ids)
 
     @property
     def count(self) -> int:
@@ -125,17 +147,15 @@ class SensorCalibration:
     Each check is written so that NaN fails it.
     """
 
-    elevations: np.ndarray
-    azimuths: np.ndarray
+    elevations: np.ndarray = field(metadata={"shape": (-1,)})
+    azimuths: np.ndarray = field(metadata={"shape": (-1,)})
     r_max: float
     r_min: float = 0.0
     sensor_height: float = 0.0
 
     def __post_init__(self):
-        elev = np.asarray(self.elevations, dtype=np.float64).reshape(-1)
-        azim = np.asarray(self.azimuths, dtype=np.float64).reshape(-1)
-        object.__setattr__(self, "elevations", elev)
-        object.__setattr__(self, "azimuths", azim)
+        store_fields(self)
+        elev, azim = self.elevations, self.azimuths
         if not (np.all(np.diff(elev) > 0) and np.all(np.abs(elev) < np.pi / 2)):
             raise InvalidInputError("elevations must be strictly ascending within (-pi/2, pi/2)")
         if azim.size and not (np.all(np.diff(azim) > 0) and -np.pi <= azim[0] and azim[-1] < np.pi):

@@ -13,26 +13,28 @@ class LengthMismatchError(DerainKitError):
     pass
 
 
-class NonFiniteCoordinateError(DerainKitError):
+class IndexedError(DerainKitError):
+    """An error about one item of a sequence, named by its ``index``; ``problem`` says what."""
+
     def __init__(self, index):
         self.index = int(index)
-        super().__init__(f"non-finite coordinate at index {self.index}")
+        super().__init__(f"{self.problem} at index {self.index}")
 
 
-class IntensityOutOfRangeError(DerainKitError):
-    def __init__(self, index):
-        self.index = int(index)
-        super().__init__(f"intensity outside [0, 1] at index {self.index}")
+class NonFiniteCoordinateError(IndexedError):
+    problem = "non-finite coordinate"
+
+
+class IntensityOutOfRangeError(IndexedError):
+    problem = "intensity outside [0, 1]"
 
 
 class InvalidInputError(DerainKitError):
     pass
 
 
-class OriginPointError(DerainKitError):
-    def __init__(self, index):
-        self.index = int(index)
-        super().__init__(f"zero-norm point at index {self.index}")
+class OriginPointError(IndexedError):
+    problem = "zero-norm point"
 
 
 class EmptyTableError(DerainKitError):
@@ -95,16 +97,12 @@ class TruncatedFileError(DerainKitError):
     pass
 
 
-class InvalidClassError(DerainKitError):
-    def __init__(self, index):
-        self.index = int(index)
-        super().__init__(f"invalid class id at index {self.index}")
+class InvalidClassError(IndexedError):
+    problem = "invalid class id"
 
 
-class InvalidMaskByteError(DerainKitError):
-    def __init__(self, index):
-        self.index = int(index)
-        super().__init__(f"mask byte other than 0 or 1 at index {self.index}")
+class InvalidMaskByteError(IndexedError):
+    problem = "mask byte other than 0 or 1"
 
 
 class SchemaError(DerainKitError):

@@ -7,8 +7,6 @@ satisfies iou = f1 / (2 - f1) whenever tp + fp + fn > 0.
 """
 from __future__ import annotations
 
-import dataclasses
-import math
 import time
 from dataclasses import dataclass
 
@@ -122,17 +120,6 @@ def benchmark_run(dataset, filters) -> list[BenchmarkRow]:
 DEFAULT_SEARCH_SPACES = {kind: cls.space for kind, cls in KINDS.items()}
 
 
-def _check_space(kind: str, space: dict) -> None:
-    """A space names exactly the kind's fields, each with finite low <= high, log ones > 0."""
-    names = [f.name for f in dataclasses.fields(KINDS[kind])]
-    if set(space) != set(names):
-        raise EmptySearchSpaceError(f"search space must name exactly {names}, got {list(space)}")
-    for name, (dist, low, high) in space.items():
-        if (dist not in ("lin", "log", "int") or not (math.isfinite(low) and math.isfinite(high))
-                or low > high or (dist == "log" and low <= 0)):
-            raise EmptySearchSpaceError(f"bad search range for {name}: {(dist, low, high)}")
-
-
 def _sample_params(kind: str, space: dict, rng: np.random.Generator) -> FilterParams:
     values = {}
     for name, (dist, low, high) in space.items():
@@ -157,7 +144,6 @@ def tune_filter(
     n_samples: int = 100,
     n_trials: int = 100,
     seed: int = 0,
-    search_space: dict | None = None,
 ) -> tuple[FilterParams, float]:
     """Random-search parameter tuning maximizing pooled rain-class F1.
 
@@ -168,15 +154,12 @@ def tune_filter(
     keeps, for this call, one column per ROR/DROR count and the prefix means
     per SOR/DSOR k that the trials read), so each trial is a few array
     operations over all their points and one pooled count.
-    A custom search_space is checked before any draw (``EmptySearchSpaceError``).
     """
     dataset = list(dataset)
     if not dataset:
         raise EmptyDatasetError("tuning dataset is empty")
     if kind not in KINDS:
         raise EmptySearchSpaceError(f"unknown filter kind {kind!r}")
-    space = DEFAULT_SEARCH_SPACES[kind] if search_space is None else search_space
-    _check_space(kind, space)
     if n_trials < 1:
         raise EmptySearchSpaceError("n_trials must be >= 1")
 
@@ -184,7 +167,7 @@ def tune_filter(
     take = min(n_samples, len(dataset))
     subset_idx = rng.choice(len(dataset), size=take, replace=False)
     subset = [dataset[i] for i in subset_idx]
-    trials = [_sample_params(kind, space, rng) for _ in range(n_trials)]
+    trials = [_sample_params(kind, DEFAULT_SEARCH_SPACES[kind], rng) for _ in range(n_trials)]
     stack, is_rain = _stack(subset, trials)
 
     best_params = None

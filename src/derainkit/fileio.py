@@ -67,8 +67,7 @@ def write_labels(labels: LabelSet) -> bytes:
 def read_labels(data: bytes) -> LabelSet:
     if len(data) % 4 != 0:
         raise TruncatedFileError(f"label file length {len(data)} is not a multiple of 4")
-    # Reserved high bits and ids >= 2**31, read as int32, fall outside [0, NUM_CLASSES).
-    return LabelSet(np.frombuffer(data, dtype="<u4").astype(np.int32))
+    return LabelSet(np.frombuffer(data, dtype="<u4"))
 
 
 def write_mask(mask: np.ndarray) -> bytes:
@@ -113,7 +112,7 @@ def _integer(value, path) -> int:
     return value
 
 
-def _vector(value, path, shape=(-1,)) -> list:
+def _vector(value, path, shape) -> list:
     """Nested lists of JSON numbers in the given shape; -1 is any length."""
     if not isinstance(value, list) or shape[0] not in (-1, len(value)):
         raise SchemaError(path, f"expected a {shape} array of numbers")
@@ -134,7 +133,7 @@ def _decode(cls, obj, path, **given):
             items = enumerate(_get(obj, f.name, path, list))
             given[f.name] = tuple(_decode(f.metadata["item"], x, f"{at}/{i}") for i, x in items)
         elif f.type == "np.ndarray":
-            given[f.name] = _vector(_get(obj, f.name, path), at, f.metadata.get("shape", (-1,)))
+            given[f.name] = _vector(_get(obj, f.name, path), at, f.metadata["shape"])
         else:
             given[f.name] = {"float": _number, "int": _integer}[f.type](_get(obj, f.name, path), at)
     return cls(**given)

@@ -5,7 +5,9 @@ yaw-rotated boxes, road polygon) and emits a labeled polar grid map. This is
 the ground-truth generator: box hits carry the box class, ground hits inside
 the road polygon are road, other ground hits are background, sky beams are
 unreturned. Rain labels never originate here. The scene types check their
-values when built, so every ``SceneSpec`` that constructs can be raycast.
+values when built and keep read-only copies of their arrays, so every
+``SceneSpec`` that constructs can be raycast; the builtin scenes are built
+once, at import, and shared.
 
 Scene geometry lives in a world frame whose z axis points up; the sensor sits
 at (0, 0, sensor_height) and output coordinates are sensor-frame.
@@ -28,11 +30,10 @@ from .core import (
     TARGETS,
     LabelSet,
     SensorCalibration,
+    store_fields,
 )
 from .errors import InvalidSpecError, UnknownSceneError
 from .pgm import PolarGridMap, beam_directions
-
-BUILTIN_SCENE_NAMES = ("minimal", "corridor", "rehearse-like")
 
 
 @dataclass(frozen=True)
@@ -46,10 +47,7 @@ class OrientedBox:
     reflectance: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=np.float64).reshape(3))
-        object.__setattr__(
-            self, "half_extents", np.asarray(self.half_extents, dtype=np.float64).reshape(3)
-        )
+        store_fields(self)
         half = self.half_extents.tolist()
         if not all(map(math.isfinite, [*self.center.tolist(), *half, self.yaw])):
             raise InvalidSpecError("box center, half extents and yaw must be finite")
@@ -81,7 +79,8 @@ class SceneSpec:
     ground_reflectance: float = 0.3
 
     def __post_init__(self):
-        normal = np.asarray(self.ground_normal, dtype=np.float64).reshape(3)
+        store_fields(self)
+        normal = self.ground_normal
         if not all(map(math.isfinite, [*normal.tolist(), self.ground_offset])):
             raise InvalidSpecError("ground normal and offset must be finite")
         # A component past 1e100 is rejected before its square can overflow the norm.
@@ -92,22 +91,13 @@ class SceneSpec:
         # normalized spec changes nothing and its JSON round trip is exact.
         if abs(norm - 1.0) > 1e-12:
             normal = normal / norm
+            normal.flags.writeable = False
+            object.__setattr__(self, "ground_normal", normal)
         if not normal[2] > 0:
             raise InvalidSpecError("ground normal must have positive z component")
-        object.__setattr__(self, "ground_normal", normal)
         if not 0 <= self.ground_reflectance <= 1:
             raise InvalidSpecError("ground reflectance must be in [0, 1]")
-        object.__setattr__(self, "boxes", tuple(self.boxes))
-        object.__setattr__(
-            self, "road_polygon", np.asarray(self.road_polygon, dtype=np.float64).reshape(-1, 2)
-        )
-        # Beyond 1e100 the cross products of the polygon tests overflow.
-        if not (np.abs(self.road_polygon) <= 1e100).all():
-            raise InvalidSpecError("road polygon vertices must lie in [-1e100, 1e100]")
-        if self.road_polygon.shape[0] < 3:
-            raise InvalidSpecError("road polygon needs at least 3 vertices")
-        if not _polygon_is_simple(self.road_polygon):
-            raise InvalidSpecError("road polygon is self-intersecting")
+        check_road_polygon(self.road_polygon, InvalidSpecError)
 
 
 def _segments_intersect(p1, p2, p3, p4) -> bool:
@@ -119,6 +109,17 @@ def _segments_intersect(p1, p2, p3, p4) -> bool:
     d3 = orient(p1, p2, p3)
     d4 = orient(p1, p2, p4)
     return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
+
+
+def check_road_polygon(poly: np.ndarray, error: type) -> None:
+    """Raise ``error`` unless the (n, 2) polygon is simple, with n >= 3 vertices in [-1e100, 1e100]."""
+    # Beyond 1e100 the cross products of the polygon tests overflow.
+    if not (np.abs(poly) <= 1e100).all():
+        raise error("road polygon vertices must lie in [-1e100, 1e100]")
+    if poly.shape[0] < 3:
+        raise error("road polygon needs at least 3 vertices")
+    if not _polygon_is_simple(poly):
+        raise error("road polygon is self-intersecting")
 
 
 def _polygon_is_simple(poly: np.ndarray) -> bool:
@@ -134,27 +135,26 @@ def _polygon_is_simple(poly: np.ndarray) -> bool:
     return True
 
 
-def builtin_scene(name: str) -> SceneSpec:
-    """Fixed scene fixtures: "minimal", "corridor", or "rehearse-like"."""
-    ground = dict(ground_normal=(0.0, 0.0, 1.0), ground_offset=0.0)
-    if name == "minimal":
-        return SceneSpec(
-            **ground,
-            boxes=(),
-            road_polygon=[(-20.0, -20.0), (20.0, -20.0), (20.0, 20.0), (-20.0, 20.0)],
-        )
-    if name == "corridor":
-        walls = (
+_GROUND = dict(ground_normal=(0.0, 0.0, 1.0), ground_offset=0.0)
+
+# Scenes are immutable, so each builtin is built once and shared.
+_BUILTIN_SCENES = {
+    "minimal": SceneSpec(
+        **_GROUND,
+        boxes=(),
+        road_polygon=[(-20.0, -20.0), (20.0, -20.0), (20.0, 20.0), (-20.0, 20.0)],
+    ),
+    "corridor": SceneSpec(
+        **_GROUND,
+        boxes=(
             OrientedBox((12.0, -4.0, 1.0), (10.0, 0.3, 1.0), 0.0, TARGETS, 0.5),
             OrientedBox((12.0, 4.0, 1.0), (10.0, 0.3, 1.0), 0.0, TARGETS, 0.5),
-        )
-        return SceneSpec(
-            **ground,
-            boxes=walls,
-            road_polygon=[(0.0, -4.0), (25.0, -4.0), (25.0, 4.0), (0.0, 4.0)],
-        )
-    if name == "rehearse-like":
-        boxes = (
+        ),
+        road_polygon=[(0.0, -4.0), (25.0, -4.0), (25.0, 4.0), (0.0, 4.0)],
+    ),
+    "rehearse-like": SceneSpec(
+        **_GROUND,
+        boxes=(
             OrientedBox((10.0, 2.0, 0.8), (2.2, 0.9, 0.8), 0.15, CAR, 0.55),
             OrientedBox((7.0, -2.5, 0.9), (0.3, 0.3, 0.9), 0.0, PEDESTRIAN, 0.4),
             OrientedBox((13.0, -1.0, 0.7), (0.9, 0.3, 0.7), -0.4, BIKE, 0.45),
@@ -162,13 +162,18 @@ def builtin_scene(name: str) -> SceneSpec:
             OrientedBox((16.0, 4.5, 1.2), (0.4, 0.4, 1.2), 0.0, SPRINKLER, 0.6),
             OrientedBox((18.0, -3.5, 0.6), (0.5, 0.5, 0.6), 0.3, TARGETS, 0.7),
             OrientedBox((21.0, 1.5, 0.6), (0.5, 0.5, 0.6), -0.2, TARGETS, 0.7),
-        )
-        return SceneSpec(
-            **ground,
-            boxes=boxes,
-            road_polygon=[(-2.0, -25.0), (30.0, -25.0), (30.0, 25.0), (-2.0, 25.0)],
-        )
-    raise UnknownSceneError(f"unknown scene {name!r}; choose from {BUILTIN_SCENE_NAMES}")
+        ),
+        road_polygon=[(-2.0, -25.0), (30.0, -25.0), (30.0, 25.0), (-2.0, 25.0)],
+    ),
+}
+BUILTIN_SCENE_NAMES = tuple(_BUILTIN_SCENES)
+
+
+def builtin_scene(name: str) -> SceneSpec:
+    """A shared fixed scene: "minimal", "corridor", or "rehearse-like"."""
+    if name not in _BUILTIN_SCENES:
+        raise UnknownSceneError(f"unknown scene {name!r}; choose from {BUILTIN_SCENE_NAMES}")
+    return _BUILTIN_SCENES[name]
 
 
 def _ray_box_hits(origin: np.ndarray, dirs: np.ndarray, box: OrientedBox) -> np.ndarray:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from derainkit import (
     auto_annotate,
     brute_force_transfer,
     builtin_scene,
+    fileio,
     ransac_plane,
     transfer_labels,
 )
@@ -21,7 +24,7 @@ from derainkit.errors import (
     InvalidSpecError,
     TooFewPointsError,
 )
-from derainkit.scene import OrientedBox, points_in_polygon
+from derainkit.scene import OrientedBox, SceneSpec, points_in_polygon
 
 SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 
@@ -158,6 +161,20 @@ def test_annotation_scene_rejects_polygon_past_1e100():
     diamond = AnnotationScene((), (), np.array([(1, 0), (0, 1), (-1, 0), (0, -1)]) * 1e100)
     np.testing.assert_array_equal(
         points_in_polygon([(5e100, 5e100), (2e99, 2e99)], diamond.road_polygon), [False, True])
+
+
+def test_annotation_scene_rejects_a_bow_tie_as_scene_spec_does():
+    """One rule for a road polygon: the constructor and the reader reject a bow-tie."""
+    bow_tie = [(0, 0), (1, 1), (1, 0), (0, 1)]
+    with pytest.raises(DegeneratePolygonError, match="self-intersecting"):
+        AnnotationScene((), (), bow_tie)
+    with pytest.raises(InvalidSpecError, match="self-intersecting"):
+        SceneSpec((0.0, 0.0, 1.0), 0.0, (), bow_tie)
+    boxes = {"sprinkler_boxes": [], "object_boxes": []}
+    square = fileio.read_annotation_json(json.dumps({**boxes, "road_polygon": SQUARE}))
+    np.testing.assert_array_equal(square.road_polygon, SQUARE)
+    with pytest.raises(DegeneratePolygonError, match="self-intersecting"):
+        fileio.read_annotation_json(json.dumps({**boxes, "road_polygon": bow_tie}))
 
 
 @pytest.mark.parametrize("bad", [

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 
 from derainkit import builtin_scene, fileio
-from derainkit.cli import run, stage_seed
+from derainkit.cli import CliError, run, stage_seed
+from derainkit.errors import DerainKitError
 
 
 def file_hashes(root: Path) -> dict:
@@ -38,7 +39,8 @@ def test_usage_error_exits_two(capsys):
 def test_missing_input_exits_one(capsys):
     code = run(["derain", "--in", "definitely-missing.bin", "--filter", "also-missing.json"])
     assert code == 1
-    assert "definitely-missing.bin" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: no such file: definitely-missing.bin\n"
+    assert issubclass(CliError, DerainKitError)
 
 
 def test_simulate_bad_calibration_exits_one(tmp_path, capsys):

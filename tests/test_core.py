@@ -10,11 +10,14 @@ from derainkit import (
 )
 from derainkit.core import empty_cloud
 from derainkit.errors import (
+    IndexedError,
     IntensityOutOfRangeError,
     InvalidClassError,
     InvalidInputError,
+    InvalidMaskByteError,
     LengthMismatchError,
     NonFiniteCoordinateError,
+    OriginPointError,
 )
 
 
@@ -67,6 +70,37 @@ def test_labels_reject_ids_outside_the_classes():
             LabelSet(labels)
         assert err.value.index == index
     np.testing.assert_array_equal(LabelSet(range(8)).labels, np.arange(8))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("labels, index", [
+    ([2.7], 0), ([2**40], 0), ([np.nan], 0), ([2**70], 0), ([1, 2.5], 1), ([np.inf], 0),
+    (np.array([1, 2**31 + 1], np.uint32), 1), (np.array([3, 2**32 + 2]), 1),
+])
+def test_labels_check_ids_before_the_int32_cast(labels, index):
+    """2.7 is not truncated to 2, 2**32 + 2 not wrapped to 2; NaN is no bare ValueError."""
+    with pytest.raises(InvalidClassError) as err:
+        LabelSet(labels)
+    assert err.value.index == index
+
+
+def test_labels_take_whole_numbers_of_any_type():
+    for labels in ([1.0, 7.0], np.array([1, 7], np.uint32), [True, 7], np.array([1, 7], np.int64)):
+        stored = LabelSet(labels).labels
+        assert stored.dtype == np.int32 and stored.tolist() == [1, 7]
+
+
+@pytest.mark.parametrize("error, message", [
+    (NonFiniteCoordinateError, "non-finite coordinate at index 3"),
+    (IntensityOutOfRangeError, "intensity outside [0, 1] at index 3"),
+    (OriginPointError, "zero-norm point at index 3"),
+    (InvalidClassError, "invalid class id at index 3"),
+    (InvalidMaskByteError, "mask byte other than 0 or 1 at index 3"),
+])
+def test_indexed_errors_share_one_base(error, message):
+    err = error(np.int64(3))
+    assert isinstance(err, IndexedError) and type(err.index) is int
+    assert err.index == 3 and str(err) == message
 
 
 def test_cloud_arrays_are_read_only_copies():

@@ -4,7 +4,7 @@ import pytest
 from derainkit import SensorCalibration, builtin_scene, raycast_scene
 from derainkit.core import RAIN
 from derainkit.errors import InvalidSpecError, UnknownSceneError
-from derainkit.scene import OrientedBox, SceneSpec, points_in_polygon
+from derainkit.scene import BUILTIN_SCENE_NAMES, OrientedBox, SceneSpec, points_in_polygon
 
 
 def single_beam_calib(elevation, azimuth=0.0, r_max=60.0, sensor_height=2.0):
@@ -30,6 +30,16 @@ def test_builtin_rehearse_like_covers_classes():
 def test_unknown_scene():
     with pytest.raises(UnknownSceneError):
         builtin_scene("nope")
+
+
+def test_builtin_scenes_are_shared_immutable_values():
+    assert BUILTIN_SCENE_NAMES == ("minimal", "corridor", "rehearse-like")
+    for name in BUILTIN_SCENE_NAMES:
+        spec = builtin_scene(name)
+        assert builtin_scene(name) is spec
+        arrays = [spec.ground_normal, spec.road_polygon]
+        arrays += [a for box in spec.boxes for a in (box.center, box.half_extents)]
+        assert not any(a.flags.writeable for a in arrays)
 
 
 def test_ground_hit_closed_form():
@@ -134,6 +144,14 @@ def test_box_rejects_bad_values(field, bad):
 def test_scene_spec_rejects_bad_values(field, bad):
     with pytest.raises(InvalidSpecError):
         SceneSpec(**{**SPEC, field: bad})
+
+
+def test_normalized_ground_normal_is_read_only():
+    normal = np.array([0.0, 0.0, 2.0])
+    spec = SceneSpec(**{**SPEC, "ground_normal": normal})
+    normal[2] = -1.0
+    assert spec.ground_normal.tolist() == [0.0, 0.0, 1.0]
+    assert not spec.ground_normal.flags.writeable
 
 
 def test_scene_spec_rejects_polygon_past_1e100():
