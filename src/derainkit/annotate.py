@@ -69,12 +69,21 @@ class RansacConfig:
             raise InvalidInputError("inlier_threshold must be positive and finite")
 
 
+def _triplet_normal(p, q, r) -> np.ndarray:
+    """The normal of three points given as coordinate lists, unnormalised: bit-identical to
+    ``np.cross(q - p, r - p)``, which evaluates the same products and differences."""
+    a0, a1, a2 = q[0] - p[0], q[1] - p[1], q[2] - p[2]
+    b0, b1, b2 = r[0] - p[0], r[1] - p[1], r[2] - p[2]
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 def ransac_plane(cloud: PointCloud, iterations: int, inlier_threshold: float,
                  seed: int = 0) -> PlaneModel:
     """Best-of-N three-point RANSAC plane fit with least-squares refit.
 
     Degenerate (collinear) samples are skipped but still count against the
-    iteration budget. Deterministic for a fixed seed.
+    iteration budget. Deterministic for a fixed seed. Each hypothesis' normal
+    comes from ``_triplet_normal``, bit-identical to ``np.cross``.
     """
     RansacConfig(iterations, inlier_threshold, seed)  # checks the three values
     if cloud.count < 3:
@@ -86,7 +95,7 @@ def ransac_plane(cloud: PointCloud, iterations: int, inlier_threshold: float,
     best_mask = None
     for _ in range(iterations):
         i, j, k = rng.choice(cloud.count, size=3, replace=False)
-        normal = np.cross(coords[j] - coords[i], coords[k] - coords[i])
+        normal = _triplet_normal(*coords[[i, j, k]].tolist())
         norm = np.linalg.norm(normal)
         if norm < 1e-12:
             continue
@@ -111,8 +120,8 @@ def ransac_plane(cloud: PointCloud, iterations: int, inlier_threshold: float,
 
 
 def _in_box(coords: np.ndarray, box: OrientedBox) -> np.ndarray:
-    local = box.to_box_frame(coords - box.center)
-    return (np.abs(local) <= box.half_extents).all(axis=1)
+    inside = (np.abs(box.to_box_frame(coords - box.center)) <= box.half_extents).T
+    return inside[0] & inside[1] & inside[2]
 
 
 def annotation_scene_from_spec(spec: SceneSpec, margin: float = 0.0,

@@ -8,6 +8,7 @@ by hashing (seed, stage name) so one knob reproduces everything. Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import sys
 from pathlib import Path
@@ -193,7 +194,9 @@ def _cmd_bench(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process: ``run`` only parses, so a call pays no set-up."""
     parser = argparse.ArgumentParser(prog="derainkit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -266,9 +269,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -16,6 +16,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    DerainKitError,
+    FieldError,
     IntensityOutOfRangeError,
     InvalidClassError,
     InvalidInputError,
@@ -52,17 +54,23 @@ def store_fields(value, **checks) -> None:
     """Store each field of the frozen dataclass ``value`` as its metadata declares: a
     ``shape`` field as a read-only copy in that shape and its ``dtype`` (float64 by
     default), an ``item`` field as a tuple. A keyword names a field and a check that
-    sees the array as given, before the dtype cast."""
+    sees the array as given, before the dtype cast. An array that cannot take the
+    field's shape, or that numpy cannot compare or cast, raises ``FieldError``."""
     # Widening a float32 signalling NaN sets the invalid flag; the value's checks name it.
     with np.errstate(invalid="ignore"):
         for f in dataclasses.fields(value):
             if "item" in f.metadata:
                 object.__setattr__(value, f.name, tuple(getattr(value, f.name)))
             elif "shape" in f.metadata:
-                given = np.asarray(getattr(value, f.name)).reshape(f.metadata["shape"])
-                if f.name in checks:
-                    checks[f.name](given)
-                array = given.astype(f.metadata.get("dtype", np.float64))
+                try:
+                    given = np.asarray(getattr(value, f.name)).reshape(f.metadata["shape"])
+                    if f.name in checks:
+                        checks[f.name](given)
+                    array = given.astype(f.metadata.get("dtype", np.float64))
+                except DerainKitError:
+                    raise
+                except (TypeError, ValueError) as exc:
+                    raise FieldError(f.name, exc) from exc
                 array.flags.writeable = False
                 object.__setattr__(value, f.name, array)
 

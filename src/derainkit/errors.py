@@ -21,6 +21,14 @@ class IndexedError(DerainKitError):
         super().__init__(f"{self.problem} at index {self.index}")
 
 
+class FieldError(DerainKitError):
+    """A value's array ``field`` given in a size or kind that its shape or dtype cannot take."""
+
+    def __init__(self, field, problem):
+        self.field = field
+        super().__init__(f"field {field}: {problem}")
+
+
 class NonFiniteCoordinateError(IndexedError):
     problem = "non-finite coordinate"
 

@@ -158,6 +158,10 @@ def sample_drop_field(config: RainConfig, bounds) -> DropField:
     bounds is a (min_corner, max_corner) pair in meters. Drop count is
     Poisson(concentration * volume); diameters come from the truncated
     exponential via inverse CDF. Fully determined by config.seed.
+
+    Bit-identical to drawing ``rng.uniform(lo, hi, (count, 3))`` and
+    ``rng.uniform(0, 1, count)`` and then ``-np.log(e_lo - u * (e_lo - e_hi)) / lam``:
+    ``Generator.uniform`` computes ``lo + (hi - lo) * rng.random()``, done here in place.
     """
     lo = np.asarray(bounds[0], dtype=np.float64).reshape(3)
     hi = np.asarray(bounds[1], dtype=np.float64).reshape(3)
@@ -168,12 +172,17 @@ def sample_drop_field(config: RainConfig, bounds) -> DropField:
     count = int(rng.poisson(expected_drop_concentration(config) * volume)) if volume > 0 else 0
     if count == 0:
         return DropField(np.empty((0, 3)), np.empty(0))
-    centers = rng.uniform(lo, hi, size=(count, 3))
+    centers = rng.random((count, 3))
+    centers *= hi - lo
+    centers += lo
     lam = marshall_palmer_lambda(config.rate)
-    u = rng.uniform(0.0, 1.0, count)
     e_lo = np.exp(-lam * config.d_min)
     e_hi = np.exp(-lam * config.d_max)
-    diameters = -np.log(e_lo - u * (e_lo - e_hi)) / lam
+    diameters = rng.random(count)
+    diameters *= e_lo - e_hi
+    np.subtract(e_lo, diameters, out=diameters)
+    np.log(diameters, out=diameters)
+    diameters /= -lam
     return DropField(centers, diameters)
 
 

@@ -177,14 +177,19 @@ def builtin_scene(name: str) -> SceneSpec:
 
 
 def _ray_box_hits(origin: np.ndarray, dirs: np.ndarray, box: OrientedBox) -> np.ndarray:
-    """Entry distance of each ray into the box, +inf where missed. dirs is (M, 3)."""
+    """Entry distance of each ray into the box, +inf where missed. dirs is (M, 3).
+
+    The slab bounds fold the three columns with ``np.maximum``/``np.minimum``,
+    bit-identical to ``.max(axis=1)``/``.min(axis=1)`` and far cheaper on (M, 3).
+    """
     o = box.to_box_frame(origin - box.center)
     d = box.to_box_frame(dirs)
     d = np.where(np.abs(d) < 1e-300, 1e-300, d)
     t1 = (-box.half_extents - o) / d
     t2 = (box.half_extents - o) / d
-    t_near = np.minimum(t1, t2).max(axis=1)
-    t_far = np.maximum(t1, t2).min(axis=1)
+    near, far = np.minimum(t1, t2).T, np.maximum(t1, t2).T
+    t_near = np.maximum(np.maximum(near[0], near[1]), near[2])
+    t_far = np.minimum(np.minimum(far[0], far[1]), far[2])
     hit = (t_far >= t_near) & (t_far > 0)
     t = np.where(t_near > 0, t_near, t_far)
     return np.where(hit, t, np.inf)

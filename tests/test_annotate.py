@@ -17,11 +17,13 @@ from derainkit import (
     transfer_labels,
 )
 from derainkit.core import BACKGROUND, RAIN, ROAD
+from derainkit.annotate import _triplet_normal
 from derainkit.errors import (
     DegeneratePolygonError,
     EmptySourceError,
     InvalidInputError,
     InvalidSpecError,
+    NoValidHypothesisError,
     TooFewPointsError,
 )
 from derainkit.scene import OrientedBox, SceneSpec, points_in_polygon
@@ -263,3 +265,84 @@ def test_transfer_single_source_point_and_empty_destination():
     empty = transfer_labels(src, LabelSet([RAIN]), empty_cloud())
     assert empty.count == 0
     assert brute_force_transfer(src, LabelSet([RAIN]), empty_cloud()).count == 0
+
+
+def ransac_with_np_cross(cloud, iterations, inlier_threshold, seed):
+    """ransac_plane as first written, each hypothesis' normal from ``np.cross``; returns
+    the refit normal, offset and inlier count, or None when every triplet was degenerate."""
+    coords = cloud.coords
+    rng = np.random.default_rng(seed)
+    best_count, best_mask = -1, None
+    for _ in range(iterations):
+        i, j, k = rng.choice(cloud.count, size=3, replace=False)
+        normal = np.cross(coords[j] - coords[i], coords[k] - coords[i])
+        norm = np.linalg.norm(normal)
+        if norm < 1e-12:
+            continue
+        normal = normal / norm
+        offset = -normal @ coords[i]
+        mask = np.abs(coords @ normal + offset) <= inlier_threshold
+        count = int(mask.sum())
+        if count > best_count:
+            best_count, best_mask = count, mask
+    if best_mask is None:
+        return None
+    inliers = coords[best_mask]
+    centroid = inliers.mean(axis=0)
+    normal = np.linalg.svd(inliers - centroid, full_matrices=False)[2][-1]
+    if normal[2] < 0:
+        normal = -normal
+    return normal, float(-normal @ centroid), best_count
+
+
+def triplets(rng, n):
+    """n random, duplicated and collinear (p, q, r) triplets at several scales."""
+    p = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-6, 7, (n, 1))
+    q = p + rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-8, 4, (n, 1))
+    r = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-6, 7, (n, 1))
+    kind = np.arange(n) % 4
+    q[kind == 1] = p[kind == 1]  # q duplicates p
+    r[kind == 2] = p[kind == 2] + 3.0 * (q[kind == 2] - p[kind == 2])  # collinear
+    r[kind == 3] = q[kind == 3] - 0.5 * (q[kind == 3] - p[kind == 3])  # collinear, between
+    return p, q, r
+
+
+def test_triplet_normal_is_np_cross_bit_for_bit():
+    p, q, r = triplets(np.random.default_rng(21), 4000)
+    got = np.array([_triplet_normal(*t) for t in zip(p.tolist(), q.tolist(), r.tolist())])
+    want = np.cross(q - p, r - p)
+    assert got.tobytes() == want.tobytes()
+    # The duplicated and collinear triplets do reach the degenerate skip.
+    norms = np.linalg.norm(got, axis=1)
+    assert (norms[1::4] == 0).all() and (norms < 1e-12).sum() > 1000
+
+
+def test_ransac_plane_matches_np_cross_fit_bit_for_bit():
+    """Random noisy planes, clouds of many duplicated points and of a line plus a few
+    stray points, so some or most sampled triplets take the degenerate skip."""
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        noisy = rng.normal(size=(300, 3)) * [5.0, 5.0, 0.03]
+        noisy[::5] = rng.normal(size=(60, 3))
+        repeated = np.repeat(rng.normal(size=(4, 3)), 30, axis=0)
+        line = np.outer(rng.uniform(-5, 5, 40), rng.normal(size=3))
+        line[:2] += rng.normal(size=(2, 3))
+        for coords in (noisy, repeated, line):
+            cloud = PointCloud(coords, np.zeros(len(coords)))
+            for iterations in (1, 25):
+                want = ransac_with_np_cross(cloud, iterations, 0.05, seed)
+                if want is None:
+                    with pytest.raises(NoValidHypothesisError):
+                        ransac_plane(cloud, iterations, 0.05, seed)
+                    continue
+                got = ransac_plane(cloud, iterations, 0.05, seed)
+                assert got.normal.tobytes() == want[0].tobytes()
+                assert (got.offset, got.inlier_count) == want[1:]
+
+
+def test_ransac_on_collinear_points_finds_no_hypothesis():
+    line = np.outer(np.arange(10.0), [1.0, 2.0, 0.5])
+    cloud = PointCloud(line, np.zeros(10))
+    assert ransac_with_np_cross(cloud, 30, 0.05, 0) is None
+    with pytest.raises(NoValidHypothesisError):
+        ransac_plane(cloud, 30, 0.05, 0)

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import subprocess
@@ -6,9 +7,11 @@ from pathlib import Path
 
 import numpy as np
 
-from derainkit import builtin_scene, fileio
+from derainkit import annotation_scene_from_spec, builtin_scene, cli, fileio, grid_calibration
 from derainkit.cli import CliError, run, stage_seed
+from derainkit.core import RAIN, LabelSet
 from derainkit.errors import DerainKitError
+from derainkit.evaluation import DEFAULT_PARAMS, BenchmarkRow, confusion, derive_metrics
 
 
 def file_hashes(root: Path) -> dict:
@@ -227,3 +230,142 @@ def test_bench_rejects_names_its_csv_cannot_hold(tmp_path, capsys):
                 "--out", str(results)]) == 1
     assert "heavy,wet" in capsys.readouterr().err
     assert not results.exists()
+
+
+# ---------------------------------------------------------------- one parser per process
+
+def eval_text(*pairs):
+    """The CSV that ``eval`` writes for (keep mask, labels) pairs, pooled."""
+    counts = [confusion(~keep, LabelSet(labels)) for keep, labels in pairs]
+    pooled = sum(counts[1:], counts[0])
+    return fileio.write_results_csv([BenchmarkRow("pred", "all", derive_metrics(pooled))])
+
+
+def test_parser_reuse_keeps_appended_flags_apart(tmp_path, capsys):
+    """Each call starts from the parser's defaults: --pred/--gt lists never carry over."""
+    a = (np.array([False, True, True, True]), [RAIN, 0, RAIN, 0])
+    b = (np.array([False, False, True]), [RAIN, RAIN, 0])
+    paths = []
+    for name, (keep, labels) in (("a", a), ("b", b)):
+        (tmp_path / f"{name}.mask").write_bytes(fileio.write_mask(keep))
+        (tmp_path / f"{name}.label").write_bytes(fileio.write_labels(LabelSet(labels)))
+        paths.append(["--pred", str(tmp_path / f"{name}.mask"),
+                      "--gt", str(tmp_path / f"{name}.label")])
+    assert eval_text(a) != eval_text(a, b)
+    for argv, want in ((paths[0], eval_text(a)), (paths[0] + paths[1], eval_text(a, b)),
+                       (paths[1], eval_text(b)), (paths[0], eval_text(a))):
+        assert run(["eval", *argv]) == 0
+        assert capsys.readouterr().out == want
+
+
+def test_parser_reuse_forgets_store_true_flags(tmp_path):
+    calib = tmp_path / "calib.json"
+    calib.write_text(fileio.write_calibration_json(grid_calibration(8, 32, r_max=6.0)))
+    base = ["simulate", "--scene", "minimal", "--calib", str(calib), "--rate", "10"]
+    assert run([*base, "--returned-only", "--out", str(tmp_path / "returned")]) == 0
+    assert run([*base, "--out", str(tmp_path / "full")]) == 0
+    returned = fileio.read_cloud((tmp_path / "returned" / "clean.bin").read_bytes())
+    full = fileio.read_cloud((tmp_path / "full" / "clean.bin").read_bytes())
+    assert returned.count < full.count == 8 * 32
+
+
+def test_parser_reuse_after_a_usage_error(tmp_path):
+    assert run(["simulate", "--rate", "ten"]) == 2
+    assert run(["scene", "--name", "minimal", "--out", str(tmp_path / "scene.json")]) == 0
+    assert len(fileio.read_scene_json((tmp_path / "scene.json").read_text()).boxes) == 0
+
+
+def test_parser_is_built_once_per_process(tmp_path, monkeypatch):
+    builds = []
+    add_subparsers = argparse.ArgumentParser.add_subparsers
+
+    def counting(parser, **kwargs):
+        builds.append(parser.prog)
+        return add_subparsers(parser, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counting)
+    cli._build_parser.cache_clear()
+    try:
+        assert run(["scene", "--name", "minimal"]) == 0
+        assert run(["frobnicate"]) == 2
+        assert run(["scene", "--name", "corridor", "--out", str(tmp_path / "s.json")]) == 0
+        assert builds == ["derainkit"]
+    finally:
+        cli._build_parser.cache_clear()
+
+
+# ---------------------------------------------------------------- pinned chain
+
+PINNED_CHAIN = {
+    "5": {
+        "auto.label":
+            "c9dceb49afa91a962c7ca264cea381144c07e52167f461c9eefd6063a0f07fd1",
+        "filtered.bin":
+            "ebfa4fe1d256afa4a949948a52d54517bddaa00de8dc5851fbb36b47d25370c0",
+        "keep.mask":
+            "6af3b78a271f40d1028cb61ae99f30c7eac0abb75b8fe3f12ba9a4aab985cc40",
+        "metrics.csv":
+            "7ef1590a8e92430a72a1684c4842100fa8097d4d634907fef8a10075ccf45f13",
+        "sim/clean.bin":
+            "b9414a76427cccad2de25912f3376c8a1ac5eaaff0bd5d1c2fe24505478d1cc4",
+        "sim/clean.label":
+            "c9dceb49afa91a962c7ca264cea381144c07e52167f461c9eefd6063a0f07fd1",
+        "sim/rainy.bin":
+            "5d3973db13638cc9f23fbf1547c5755db80710218ffa8443fe2106ea8e7e1445",
+        "sim/rainy.label":
+            "23d3e9084810bed94a154de3714045b40abcd66b9373bd5978a51ed27c09a43d",
+        "transferred.label":
+            "23ca23574f182ee70dd8d2dda5756d3378b30b200426a065420dded7a3638b54",
+    },
+    "6": {
+        "auto.label":
+            "c9dceb49afa91a962c7ca264cea381144c07e52167f461c9eefd6063a0f07fd1",
+        "filtered.bin":
+            "3db89b0203a95da8472b7e7a2412baf97b1e5caa80db10a95face4786ada23da",
+        "keep.mask":
+            "f4453a9825a9a4642b8d6ecc79b86fd1b3e452350e3ecc1412d270c10aba9757",
+        "metrics.csv":
+            "306561f56fe4746ffb267f937fac1348993def5685065bc581028bdbeb09215e",
+        "sim/clean.bin":
+            "c4c838faa99289a48f2a179a03727ec34f9bc81a4828aace15e5a33b8e7881c2",
+        "sim/clean.label":
+            "c9dceb49afa91a962c7ca264cea381144c07e52167f461c9eefd6063a0f07fd1",
+        "sim/rainy.bin":
+            "4631f654e0d5af303d9bc132434ebd23be7559faad284e945ba7efe2dbe129d8",
+        "sim/rainy.label":
+            "97661ba26d0dd6d73424e4b481fd4d0d1c2dc5b6e78b3ab95972221b459a262b",
+        "transferred.label":
+            "9a2d2b2bad105b26ec05be160e0732fe68ebab1a3c73e1bce0f6e6f695aeb22c",
+    },
+}
+
+
+def test_cli_chain_outputs_are_pinned(tmp_path):
+    """simulate -> derain -> annotate -> transfer -> eval, as the dense_scan benchmark runs it
+    on a 16 x 128 / 6 m grid: every output file keeps the SHA-256 it had when pinned."""
+    calib = grid_calibration(16, 128, elevation_span=(-0.42, 0.03), azimuth_span=(-0.7, 0.7),
+                             r_max=6.0, r_min=0.5, sensor_height=2.0)
+    ann = annotation_scene_from_spec(builtin_scene("rehearse-like"), margin=0.05,
+                                     sensor_height=calib.sensor_height)
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    (inputs / "calib.json").write_text(fileio.write_calibration_json(calib))
+    (inputs / "dsor.json").write_text(fileio.write_filter_params_json(DEFAULT_PARAMS["dsor"]))
+    (inputs / "ann.json").write_text(fileio.write_annotation_json(ann))
+    for seed, want in PINNED_CHAIN.items():
+        w = tmp_path / seed
+        for argv in (
+            ["simulate", "--scene", "rehearse-like", "--calib", str(inputs / "calib.json"),
+             "--rate", "25", "--seed", seed, "--returned-only", "--out", str(w / "sim")],
+            ["derain", "--in", str(w / "sim" / "rainy.bin"), "--filter", str(inputs / "dsor.json"),
+             "--mask", str(w / "keep.mask"), "--out", str(w / "filtered.bin")],
+            ["annotate", "--in", str(w / "sim" / "clean.bin"), "--scene", str(inputs / "ann.json"),
+             "--out", str(w / "auto.label"), "--seed", seed],
+            ["transfer", "--src-cloud", str(w / "sim" / "clean.bin"),
+             "--src-labels", str(w / "auto.label"), "--dst", str(w / "filtered.bin"),
+             "--out", str(w / "transferred.label")],
+            ["eval", "--pred", str(w / "keep.mask"), "--gt", str(w / "sim" / "rainy.label"),
+             "--out", str(w / "metrics.csv")],
+        ):
+            assert run(argv) == 0, argv
+        assert file_hashes(w) == want

@@ -98,6 +98,47 @@ def test_sample_deterministic():
     np.testing.assert_array_equal(a.diameters, b.diameters)
 
 
+def sample_drop_field_with_uniform(config, bounds):
+    """sample_drop_field as first written, with two ``Generator.uniform`` draws."""
+    lo = np.asarray(bounds[0], dtype=np.float64).reshape(3)
+    hi = np.asarray(bounds[1], dtype=np.float64).reshape(3)
+    volume = float(np.prod(hi - lo))
+    rng = np.random.default_rng(config.seed)
+    count = int(rng.poisson(expected_drop_concentration(config) * volume)) if volume > 0 else 0
+    if count == 0:
+        return np.empty((0, 3)), np.empty(0)
+    centers = rng.uniform(lo, hi, size=(count, 3))
+    lam = marshall_palmer_lambda(config.rate)
+    u = rng.uniform(0.0, 1.0, count)
+    e_lo = np.exp(-lam * config.d_min)
+    e_hi = np.exp(-lam * config.d_max)
+    return centers, -np.log(e_lo - u * (e_lo - e_hi)) / lam
+
+
+def test_sample_drop_field_matches_uniform_draws_bit_for_bit():
+    rng = np.random.default_rng(22)
+    boxes = [([0, 0, 0], [2, 2, 2]), ([-3.5, -1e-3, 7.0], [-1.0, 4.0, 7.25]),
+             beam_field_bounds(SensorCalibration(np.linspace(-0.42, 0.03, 8),
+                                                 np.linspace(-0.7, 0.7, 32), r_max=4.0))]
+    boxes += [(lo, lo + rng.uniform(0.0, 3.0, 3)) for lo in rng.uniform(-9, 9, (3, 3))]
+    drops = 0
+    for bounds in boxes:
+        for rate, seed, d_min, d_max in ((10.0, 0, 0.5, 6.0), (25.0, 7, 0.2, 5.0),
+                                         (50.0, 2 ** 64 + 3, 0.5, 6.0), (120.0, 4611, 1.0, 2.0)):
+            config = RainConfig(rate=rate, seed=seed, d_min=d_min, d_max=d_max)
+            field = sample_drop_field(config, bounds)
+            centers, diameters = sample_drop_field_with_uniform(config, bounds)
+            assert field.centers.tobytes() == centers.tobytes()
+            assert field.diameters.tobytes() == diameters.tobytes()
+            drops += len(field)
+    assert drops > 10_000
+    flat = ([0, 0, 0], [0, 1, 1])
+    assert len(sample_drop_field(RainConfig(rate=10), flat)) == 0
+    assert sample_drop_field_with_uniform(RainConfig(rate=10), flat)[0].shape == (0, 3)
+    with pytest.raises(DegenerateBoundsError):
+        sample_drop_field(RainConfig(rate=10), ([1, 0, 0], [0, 1, 1]))
+
+
 def test_diameter_distribution_ks():
     config = RainConfig(rate=10, seed=1)
     # big enough box to get ~1e5 drops

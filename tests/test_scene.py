@@ -4,7 +4,13 @@ import pytest
 from derainkit import SensorCalibration, builtin_scene, raycast_scene
 from derainkit.core import RAIN
 from derainkit.errors import InvalidSpecError, UnknownSceneError
-from derainkit.scene import BUILTIN_SCENE_NAMES, OrientedBox, SceneSpec, points_in_polygon
+from derainkit.scene import (
+    BUILTIN_SCENE_NAMES,
+    OrientedBox,
+    SceneSpec,
+    _ray_box_hits,
+    points_in_polygon,
+)
 
 
 def single_beam_calib(elevation, azimuth=0.0, r_max=60.0, sensor_height=2.0):
@@ -183,3 +189,60 @@ def test_points_in_polygon_rules():
     np.testing.assert_array_equal(
         points_in_polygon([[5e99, 5e99], [2e100, 5e99], [5e99, 0.0]], huge), [True, False, True])
 
+
+
+def ray_box_hits_by_row_reductions(origin, dirs, box):
+    """The slab test as first written, reducing each (M, 3) array along its rows."""
+    o = box.to_box_frame(origin - box.center)
+    d = box.to_box_frame(dirs)
+    d = np.where(np.abs(d) < 1e-300, 1e-300, d)
+    t1 = (-box.half_extents - o) / d
+    t2 = (box.half_extents - o) / d
+    t_near = np.minimum(t1, t2).max(axis=1)
+    t_far = np.maximum(t1, t2).min(axis=1)
+    hit = (t_far >= t_near) & (t_far > 0)
+    t = np.where(t_near > 0, t_near, t_far)
+    return np.where(hit, t, np.inf)
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_slab_columns_match_row_reductions_on_random_rays():
+    rng = np.random.default_rng(20)
+    hits = []
+    for yaw in (0.0, 0.3, -2.5):
+        box = OrientedBox((4.0, -1.0, 0.5), (1.0, 0.5, 2.0), yaw, 3, 0.5)
+        for origin in (np.zeros(3), np.array([4.0, -1.0, 0.5]), rng.normal(0, 6, 3)):
+            dirs = rng.normal(size=(5000, 3))
+            dirs[::7, rng.integers(0, 3)] = 0.0  # a zero component in every 7th ray
+            hits.append(_ray_box_hits(origin, dirs, box))
+            assert_same_bits(hits[-1], ray_box_hits_by_row_reductions(origin, dirs, box))
+    hits = np.concatenate(hits)
+    assert np.isfinite(hits).sum() > 5000 and np.isinf(hits).sum() > 5000
+
+
+def test_slab_columns_match_row_reductions_through_faces_edges_and_corners():
+    """Rays aimed at every face centre, edge midpoint and corner of an axis-aligned
+    box, rays grazing its faces with zero direction components of either sign, and a
+    NaN ray, which misses in both."""
+    box = OrientedBox((0.0, 0.0, 0.0), (1.0, 2.0, 0.5), 0.0, 3, 0.5)
+    targets = np.array([(x, y, z) for x in (-1, 0, 1) for y in (-1, 0, 1) for z in (-1, 0, 1)])
+    targets = targets * box.half_extents.tolist()
+    rows = []
+    for origin in ((-5.0, 0.0, 0.0), (0.0, 7.0, 3.0), (-3.0, -4.0, -2.0), (0.0, 0.0, 0.0)):
+        origin = np.array(origin)
+        dirs = np.vstack([targets - origin, origin - targets,
+                          [(1.0, 0.0, 0.0), (-0.0, 1.0, 0.0), (0.0, -0.0, -1.0),
+                           (1.0, 1.0, 0.0), (0.0, 1.0, 1.0), (np.nan, 1.0, 0.0)]])
+        rows.append(_ray_box_hits(origin, dirs, box))
+        assert_same_bits(rows[-1], ray_box_hits_by_row_reductions(origin, dirs, box))
+    for origin in ((-5.0, 2.0, 0.0), (-5.0, -2.0, 0.5), (0.0, -9.0, -0.5)):  # on a slab plane
+        origin = np.array(origin)
+        dirs = np.array([(1.0, 0.0, 0.0), (1.0, -0.0, 0.0), (0.0, 1.0, -0.0), (1.0, 0.0, 1e-310)])
+        rows.append(_ray_box_hits(origin, dirs, box))
+        assert_same_bits(rows[-1], ray_box_hits_by_row_reductions(origin, dirs, box))
+    hits = np.concatenate(rows)
+    assert np.isfinite(hits).sum() > 50 and np.isinf(hits).sum() > 10

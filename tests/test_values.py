@@ -7,7 +7,7 @@ import pytest
 
 from derainkit import CAR, LabelSet, PointCloud, SensorCalibration, fileio
 from derainkit.annotate import AnnotationScene, PlaneModel
-from derainkit.errors import DerainKitError
+from derainkit.errors import DerainKitError, FieldError
 from derainkit.scene import OrientedBox, SceneSpec
 
 SQUARE = np.array([(0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0)])
@@ -65,3 +65,23 @@ def test_checked_values_keep_read_only_copies(name):
 def test_checked_array_fields_declare_their_shape(cls):
     arrays = [f for f in dataclasses.fields(cls) if f.type in ("np.ndarray", np.ndarray)]
     assert arrays and all("shape" in f.metadata for f in arrays)
+
+
+@pytest.mark.parametrize("build, field, cause", [
+    (lambda: PointCloud(np.zeros(4), np.zeros(1)), "coords", ValueError),
+    (lambda: PointCloud([[0.0, 0.0, 0.0], [1.0]], [0.5, 0.5]), "coords", ValueError),
+    (lambda: PointCloud(np.zeros((1, 3)), ["bright"]), "intensity", ValueError),
+    (lambda: OrientedBox((1, 2), (1, 1, 1), 0.0, CAR, 0.5), "center", ValueError),
+    (lambda: LabelSet(["1"]), "labels", TypeError),
+    (lambda: LabelSet([None]), "labels", TypeError),
+], ids=["cloud-size", "cloud-ragged", "intensity-text", "box-center", "label-text",
+        "label-none"])
+def test_arrays_that_cannot_take_their_field_raise_field_error(build, field, cause):
+    """numpy's own reshape, compare or cast error comes out as a DerainKitError that
+    names the field, with numpy's error as its cause."""
+    with pytest.raises(FieldError) as err:
+        build()
+    assert isinstance(err.value, DerainKitError) and err.value.field == field
+    assert str(err.value).startswith(f"field {field}: ")
+    assert isinstance(err.value.__cause__, cause)
+    assert not isinstance(err.value.__cause__, DerainKitError)
