@@ -53,9 +53,12 @@ CLASS_NAMES = {
 def store_fields(value, **checks) -> None:
     """Store each field of the frozen dataclass ``value`` as its metadata declares: a
     ``shape`` field as a read-only copy in that shape and its ``dtype`` (float64 by
-    default), an ``item`` field as a tuple. A keyword names a field and a check that
-    sees the array as given, before the dtype cast. An array that cannot take the
-    field's shape, or that numpy cannot compare or cast, raises ``FieldError``."""
+    default), an ``item`` field as a tuple. A shape axis named by a string takes its
+    size from the first field that names it, and a shape with named axes is matched
+    exactly, not reshaped to. A keyword names a field and a check that sees the array
+    as given, before the dtype cast. An array that cannot take the field's shape, or
+    that numpy cannot compare or cast, raises ``FieldError``."""
+    sizes = {}
     # Widening a float32 signalling NaN sets the invalid flag; the value's checks name it.
     with np.errstate(invalid="ignore"):
         for f in dataclasses.fields(value):
@@ -63,7 +66,15 @@ def store_fields(value, **checks) -> None:
                 object.__setattr__(value, f.name, tuple(getattr(value, f.name)))
             elif "shape" in f.metadata:
                 try:
-                    given = np.asarray(getattr(value, f.name)).reshape(f.metadata["shape"])
+                    given = np.asarray(getattr(value, f.name))
+                    declared = shape = f.metadata["shape"]
+                    if any(isinstance(axis, str) for axis in declared):
+                        shape = tuple(sizes.setdefault(axis, n) if isinstance(axis, str) else axis
+                                      for axis, n in zip(declared, given.shape))
+                        if given.ndim != len(declared) or given.shape != shape:
+                            expected = tuple(sizes.get(axis, axis) for axis in declared)
+                            raise FieldError(f.name, f"shape {given.shape}, expected {expected}")
+                    given = given.reshape(shape)
                     if f.name in checks:
                         checks[f.name](given)
                     array = given.astype(f.metadata.get("dtype", np.float64))

@@ -7,11 +7,15 @@ threshold boundary count as "within" (keep side), and SOR/DSOR use the
 population standard deviation.
 
 All four filters read one table per cloud: each point's sorted distances to
-its nearest neighbors. SOR/DSOR average a prefix of a row. ROR/DROR use the
-order statistic: a point has at least m neighbors within r exactly when its
-m-th nearest-neighbor distance is <= r, so they compare one column of the
-table with the radius (m = 0 keeps every point). The table's distances come
-from the oracle's own numpy expression, so boundary cases agree bit for bit.
+its nearest neighbors. ROR/DROR use the order statistic: a point has at least
+m neighbors within r exactly when its m-th nearest-neighbor distance is <= r,
+so they compare one column of the table with the radius (m = 0 keeps every
+point). SOR/DSOR read one column of the table's running sums: a point's d for
+count k is the left-to-right sum of its k nearest distances divided by k,
+which is numpy's mean of the row for k <= 7 (numpy adds fewer than 8 terms
+left to right and more pairwise). The table's distances come from the
+oracle's own arithmetic and the oracle forms d the same way, so boundary
+cases agree bit for bit.
 Past a cloud's n - 1 neighbors the table holds +inf padding, which ROR/DROR
 never read: a cloud of at most m points gets nan for the column and keeps
 none, so a radius that overflows to inf (DROR's beta * alpha * range) still
@@ -25,9 +29,9 @@ prefix means d over the point's cloud; arrays or scalars that broadcast).
 Everything else derives from them.
 
 ``CloudStack`` evaluates these rules over several clouds at once. It reads
-each cloud's table in place and gathers, once per count, only the column or
-prefix means a rule reads, so one params' keep-mask is a few array operations
-over all rows. ``apply_filter`` is its one-cloud case.
+each cloud's tables in place and gathers, once per count, only the column a
+rule reads, so one params' keep-mask is a few array operations over all rows.
+``apply_filter`` is its one-cloud case.
 """
 from __future__ import annotations
 
@@ -146,14 +150,16 @@ KINDS = {name: type(p) for name, p in DEFAULT_PARAMS.items()}
 
 
 class SpatialIndex:
-    """kd-tree over a cloud answering kNN distance tables.
+    """kd-tree over a cloud answering kNN distance tables and their running sums.
 
     Query results match exhaustive search exactly; the query point itself is
     excluded from the neighbor distances. The widest kNN distance
     table computed so far (n x k_max float64, 8*n*k_max bytes) is cached, so a
     query for any k <= k_max is a slice of it and only a larger k queries the
     tree again. Each row is sorted ascending and holds +inf past the cloud's
-    n - 1 neighbors. Filters given no index use the cloud's own, ``cloud.index``.
+    n - 1 neighbors. The running sums of the table's rows are cached the same
+    way once asked for (another 8*n*k_max bytes). Both are read-only. Filters
+    given no index use the cloud's own, ``cloud.index``.
     """
 
     def __init__(self, cloud: PointCloud):
@@ -161,7 +167,7 @@ class SpatialIndex:
         self.coords = cloud.coords
         self.count = cloud.count
         self._tree = cKDTree(cloud.coords) if cloud.count else None
-        self._knn_dists = np.empty((self.count, 0))
+        self._knn_dists = self._knn_sums = np.empty((self.count, 0))
 
     def knn_dists(self, k: int) -> np.ndarray:
         """n x k distances to each point's k nearest neighbors (self excluded), rows ascending.
@@ -173,14 +179,31 @@ class SpatialIndex:
         if k > self._knn_dists.shape[1]:
             width = min(k + 1, self.count)
             _, idx = self._tree.query(self.coords, k=width)
-            # Recompute distances with the same numpy expression the brute-force
-            # oracle uses, in its sorted order, so the two paths agree bit-for-bit.
-            neighbors = self.coords[idx.reshape(self.count, width)[:, 1:]]
-            diff = neighbors - self.coords[:, None, :]
-            dists = np.sort(np.sqrt((diff ** 2).sum(axis=2)), axis=1)
-            self._knn_dists = np.pad(dists, ((0, 0), (0, k + 1 - width)),
-                                     constant_values=np.inf)
+            # Recompute distances in the oracle's sorted order with the sum its
+            # (diff ** 2).sum(axis=2) forms, ((dx*dx + dy*dy) + dz*dz), so the two
+            # paths agree bit for bit.
+            neighbors = idx.reshape(self.count, width)[:, 1:]
+            dx, dy, dz = (axis[neighbors] - axis[:, None] for axis in self.coords.T)
+            dists = np.sort(np.sqrt((dx * dx + dy * dy) + dz * dz), axis=1)
+            self._knn_dists = _read_only(np.pad(dists, ((0, 0), (0, k + 1 - width)),
+                                                constant_values=np.inf))
         return self._knn_dists[:, :k]
+
+    def knn_sums(self, k: int) -> np.ndarray:
+        """n x k running sums of the distance table's rows, added left to right.
+
+        Column j holds d_1 + ... + d_(j+1), so a point's mean distance to its k
+        nearest neighbors is column k - 1 divided by k.
+        """
+        self.knn_dists(k)
+        if k > self._knn_sums.shape[1]:
+            self._knn_sums = _read_only(np.cumsum(self._knn_dists, axis=1))
+        return self._knn_sums[:, :k]
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 def build_index(cloud: PointCloud) -> SpatialIndex:
@@ -204,14 +227,15 @@ class CloudStack:
 
     It holds each non-empty cloud's index (the cloud's own, ``cloud.index``, or
     the one given for it), the clouds' sizes and the rows' ranges, and reads
-    each cloud's kNN table in place. On construction each table is made as
-    wide as the largest params count below its cloud's size, the widest that
-    any of the params can read there, so a count from outside the program
-    builds no table wider than its cloud. ``keep`` gathers only what its rule
+    each cloud's kNN table and running sums in place. On construction each
+    table (and, for SOR/DSOR params, its running sums) is made as wide as the
+    largest params count below its cloud's size, the widest that any of the
+    params can read there, so a count from outside the program builds no
+    table wider than its cloud. ``keep`` gathers only what its rule
     reads, once per count, and keeps it for the stack's life: ROR/DROR's
     column m - 1 of every table in ``columns`` (8 * sum(n) bytes per m), and
-    SOR/DSOR's prefix means d with each cloud's mean and std of them in
-    ``means`` (3 * 8 * sum(n) bytes per k).
+    SOR/DSOR's d, column k - 1 of every running-sum table divided by k, with
+    each row's cloud mean and std of d in ``means`` (3 * 8 * sum(n) bytes per k).
     """
 
     def __init__(self, clouds, params, indexes=None):
@@ -221,8 +245,11 @@ class CloudStack:
         self.sizes = [cloud.count for cloud, _ in rows]
         self.ranges = _concat([cloud.ranges for cloud, _ in rows])
         counts = [_count(p) for p in params]
+        # SOR/DSOR read the running sums, built here too, so keep never builds a table.
+        build = (SpatialIndex.knn_sums if any(isinstance(p, (Sor, Dsor)) for p in params)
+                 else SpatialIndex.knn_dists)
         for index, n in zip(self.indexes, self.sizes):
-            index.knn_dists(max((c for c in counts if c < n), default=0))
+            build(index, max((c for c in counts if c < n), default=0))
         self.columns = {}
         self.means = {}
 
@@ -233,13 +260,18 @@ class CloudStack:
             if m == 0:
                 return np.ones(len(self.ranges), dtype=bool)
             if m not in self.columns:
-                # A cloud of at most m points gets nan, never <= a bound (even inf): it keeps none.
-                self.columns[m] = _concat([
-                    index.knn_dists(m)[:, m - 1] if m < n else np.full(n, np.nan)
-                    for index, n in zip(self.indexes, self.sizes)])
+                self.columns[m] = self._gather(SpatialIndex.knn_dists, m)
             return self.columns[m] <= params.bound(self.ranges)
         d, mean, std = self._means(m)
         return d <= params.bound(self.ranges, mean, std)
+
+    def _gather(self, table, m: int) -> np.ndarray:
+        """Column m - 1 of each cloud's ``table(index, m)``, end to end.
+
+        A cloud of at most m points gets nan, never <= a bound (even inf): it keeps none.
+        """
+        return _concat([table(index, m)[:, m - 1] if m < n else np.full(n, np.nan)
+                        for index, n in zip(self.indexes, self.sizes)])
 
     def _means(self, k: int):
         """Each row's mean distance d to its k nearest, and its cloud's mean and std of d."""
@@ -247,11 +279,21 @@ class CloudStack:
         if too_few:
             raise TooFewPointsError(f"need at least {k + 1} points, have {too_few[0]}")
         if k not in self.means:
-            # The same numpy calls on each cloud's own rows as for one cloud, so bit for bit.
-            ds = [index.knn_dists(k).mean(axis=1) for index in self.indexes]
-            self.means[k] = (_concat(ds), _concat([np.full(len(d), d.mean()) for d in ds]),
-                             _concat([np.full(len(d), d.std()) for d in ds]))
+            d = self._gather(SpatialIndex.knn_sums, k) / k
+            # d.mean() and d.std() per cloud, bit for bit: numpy's own steps, a pairwise
+            # np.add.reduce over each cloud's slice and elementwise operations after it.
+            sizes = np.array(self.sizes, dtype=np.intp)
+            mean = np.repeat(self._cloud_sums(d) / sizes, sizes)
+            dev = d - mean
+            dev *= dev
+            std = np.repeat(np.sqrt(self._cloud_sums(dev) / sizes), sizes)
+            self.means[k] = d, mean, std
         return self.means[k]
+
+    def _cloud_sums(self, rows: np.ndarray) -> np.ndarray:
+        ends = np.cumsum(self.sizes)
+        return np.array([np.add.reduce(rows[end - n:end]) for n, end in zip(self.sizes, ends)],
+                        dtype=float)
 
 
 def apply_filter(cloud: PointCloud, params: FilterParams,
@@ -280,5 +322,5 @@ def brute_force_mask(cloud: PointCloud, params: FilterParams) -> np.ndarray:
         return (dist <= np.reshape(params.bound(cloud.ranges), (-1, 1))).sum(axis=1) >= m
     if n < m + 1:
         raise TooFewPointsError(f"need at least {m + 1} points, have {n}")
-    d = np.sort(dist, axis=1)[:, :m].mean(axis=1)
+    d = np.cumsum(np.sort(dist, axis=1)[:, :m], axis=1)[:, -1] / m
     return d <= params.bound(cloud.ranges, d.mean(), d.std())

@@ -11,22 +11,28 @@ single precision appears.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import PointCloud, SensorCalibration
-from .errors import EmptyCalibrationError, EmptyTableError, OriginPointError
+from .core import PointCloud, SensorCalibration, store_fields
+from .errors import EmptyCalibrationError, EmptyTableError, FieldError, OriginPointError
 
 
 @dataclass(frozen=True)
 class PolarGridMap:
-    """Dense beam grid: coords (V,H,3), intensity (V,H), ranges (V,H), unreturned mask."""
+    """Dense beam grid: coords (V,H,3), intensity (V,H), ranges (V,H), bool unreturned (V,H).
 
-    coords: np.ndarray
-    intensity: np.ndarray
-    ranges: np.ndarray
-    unreturned: np.ndarray
+    Stores read-only copies; arrays of other shapes, or a non-bool mask, raise ``FieldError``.
+    """
+
+    coords: np.ndarray = field(metadata={"shape": ("v", "h", 3)})
+    intensity: np.ndarray = field(metadata={"shape": ("v", "h")})
+    ranges: np.ndarray = field(metadata={"shape": ("v", "h")})
+    unreturned: np.ndarray = field(metadata={"shape": ("v", "h"), "dtype": bool})
+
+    def __post_init__(self):
+        store_fields(self, unreturned=_check_bool)
 
     @property
     def v(self) -> int:
@@ -35,6 +41,11 @@ class PolarGridMap:
     @property
     def h(self) -> int:
         return self.ranges.shape[1]
+
+
+def _check_bool(unreturned: np.ndarray) -> None:
+    if unreturned.dtype != bool:
+        raise FieldError("unreturned", f"dtype {unreturned.dtype} is not bool")
 
 
 def to_polar(coords: np.ndarray):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
@@ -105,6 +107,77 @@ def test_knn_table_sorted_padded_and_counts_radius():
         assert table.shape == (n, 8)
         assert np.isfinite(table[:, :n - 1]).all() and np.isinf(table[:, n - 1:]).all()
         assert not apply_filter(random_cloud(n, n), Ror(100.0, n)).any()
+
+
+def table_clouds():
+    """Random and snapped (tied) clouds, and clouds of at most a few points (n <= k)."""
+    for seed in range(6):
+        yield random_cloud(int(np.random.default_rng(seed).integers(40, 200)), seed)
+        for decimals in (0, 1):
+            yield tied_cloud(seed, decimals)
+    for n in range(1, 6):
+        yield random_cloud(n, n)
+
+
+def test_knn_table_equals_pairwise_difference_recompute():
+    """The table equals the tree's neighbors' distances as (diff ** 2).sum(axis=2) gives them."""
+    for cloud in table_clouds():
+        for k in (1, 5, 30):
+            width = min(k + 1, cloud.count)
+            _, idx = cKDTree(cloud.coords).query(cloud.coords, k=width)
+            diff = cloud.coords[idx.reshape(cloud.count, width)[:, 1:]] - cloud.coords[:, None]
+            dists = np.sort(np.sqrt((diff ** 2).sum(axis=2)), axis=1)
+            expected = np.pad(dists, ((0, 0), (0, k + 1 - width)), constant_values=np.inf)
+            np.testing.assert_array_equal(SpatialIndex(cloud).knn_dists(k), expected)
+
+
+def test_knn_sums_add_each_row_left_to_right():
+    """Column j of the sums is ((d_1 + d_2) + ...) + d_(j+1), in any order k is asked for;
+    below 8 terms that is numpy's own row sum, so d is the row's mean bit for bit."""
+    ks = range(1, 31)
+    for cloud in table_clouds():
+        table = SpatialIndex(cloud).knn_dists(30)
+        expected = np.array([list(itertools.accumulate(row)) for row in table.tolist()])
+        for order in (ks, reversed(ks)):
+            index = SpatialIndex(cloud)
+            for k in order:
+                sums = index.knn_sums(k)
+                np.testing.assert_array_equal(sums, expected[:, :k])
+                if k <= 7:
+                    np.testing.assert_array_equal(sums[:, -1], np.add.reduce(table[:, :k], axis=1))
+                    np.testing.assert_array_equal(sums[:, -1] / k, table[:, :k].mean(axis=1))
+
+
+def test_stack_mean_and_std_are_numpys_per_cloud():
+    """Around numpy's pairwise-sum blocks (8 and 128 terms) and for one cloud, each cloud's
+    mean and std of d are its d.mean() and d.std() bit for bit."""
+    rng = np.random.default_rng(40)
+    for case in range(40):
+        sizes = [int(rng.integers(*rng.choice([(2, 8), (8, 129), (129, 400)])))
+                 for _ in range(1 if case < 10 else int(rng.integers(2, 7)))]
+        clouds = [random_cloud(n, 100 * case + i) for i, n in enumerate(sizes)]
+        k = int(rng.integers(1, min(sizes)))
+        d, mean, std = CloudStack(clouds, [Sor(k, 1.0)])._means(k)
+        ends = np.cumsum(sizes)
+        for n, end in zip(sizes, ends):
+            cloud_d = d[end - n:end].copy()
+            np.testing.assert_array_equal(mean[end - n:end], np.full(n, cloud_d.mean()))
+            np.testing.assert_array_equal(std[end - n:end], np.full(n, cloud_d.std()))
+
+
+def test_one_cloud_stack_leaves_index_tables_unchanged():
+    """A one-cloud stack gathers views of its index's tables, which are read-only."""
+    cloud = random_cloud(200, 30)
+    table, sums = cloud.index.knn_dists(12).copy(), cloud.index.knn_sums(12).copy()
+    stack = CloudStack([cloud], [Sor(12, 1.0)])
+    for params in (Sor(5, 1.0), Dsor(12, 0.5, 0.1), Ror(1.0, 3), Dror(0.01, 3.0, 4, 0.04)):
+        np.testing.assert_array_equal(stack.keep(params), brute_force_mask(cloud, params))
+    np.testing.assert_array_equal(cloud.index.knn_dists(12), table)
+    np.testing.assert_array_equal(cloud.index.knn_sums(12), sums)
+    for gathered in (stack._gather(SpatialIndex.knn_sums, 5), stack.columns[3],
+                     cloud.index.knn_dists(12), cloud.index.knn_sums(12)):
+        with pytest.raises(ValueError, match="read-only"):
+            gathered /= 5
 
 
 @pytest.mark.parametrize("decimals", [None, 1])

@@ -3,6 +3,7 @@ import pytest
 
 from derainkit import (
     PointCloud,
+    PolarGridMap,
     SensorCalibration,
     flatten,
     nearest_angle_index,
@@ -11,7 +12,7 @@ from derainkit import (
     to_polar,
 )
 from derainkit.core import empty_cloud
-from derainkit.errors import EmptyTableError, OriginPointError
+from derainkit.errors import EmptyTableError, FieldError, OriginPointError
 
 
 def small_calib(v=2, h=3, r_max=50.0):
@@ -135,3 +136,21 @@ def test_returned_cells_bounded_by_input_size():
     cloud = PointCloud(rng.normal(size=(10, 3)) * 5, rng.uniform(0, 1, 10))
     grid = project_to_pgm(cloud, calib)
     assert (~grid.unreturned).sum() <= min(10, 32)
+
+
+@pytest.mark.parametrize("coords, intensity, ranges, unreturned, field", [
+    (np.zeros((2, 3, 3)), np.zeros(4), np.zeros((1, 1)), np.zeros(7), "intensity"),
+    (np.zeros((6, 3)), np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 3), bool), "coords"),
+    (np.zeros((2, 3, 2)), np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 3), bool), "coords"),
+    (np.zeros((2, 3, 3)), np.zeros((2, 3)), np.zeros((3, 2)), np.zeros((2, 3), bool), "ranges"),
+    (np.zeros((2, 3, 3)), np.zeros((2, 3)), np.zeros(6), np.zeros((2, 3), bool), "ranges"),
+    (np.zeros((2, 3, 3)), np.zeros((2, 3)), np.zeros((2, 3)), np.zeros((2, 3)), "unreturned"),
+], ids=["roadmap-example", "flat-coords", "coords-width", "ranges-transposed", "ranges-flat",
+        "float-mask"])
+def test_polar_grid_map_checks_shapes_and_mask(coords, intensity, ranges, unreturned, field):
+    """ranges is (V, H); intensity and unreturned match it, unreturned is bool; coords is
+    (V, H, 3). Anything else raises at construction, naming the field."""
+    with pytest.raises(FieldError) as err:
+        PolarGridMap(coords, intensity, ranges, unreturned)
+    assert err.value.field == field
+

@@ -214,6 +214,24 @@ def test_inject_no_occlusion_only_fills_unreturned():
     assert not (new_rain & ~grid.unreturned).any()
 
 
+def test_higher_rate_rains_superset_no_hit_further_out():
+    """One seed couples the rates: a higher rate rains every beam a lower one rains, and
+    no hit lies further out, so scans at two rates differ only by the rate."""
+    calib, grid, labels, _ = rainy_setup()
+    for occlude in (True, False):
+        for seed in range(50):
+            rained_before = np.zeros(labels.count, dtype=bool)
+            hits_before = np.full(labels.count, np.inf)
+            for rate in (1.0, 5.0, 10.0, 25.0, 50.0, 100.0):
+                rainy, rlabels = inject_rain(grid, labels, calib, RainConfig(rate, seed=seed),
+                                             occlude_returns=occlude)
+                rained = rlabels.labels == RAIN
+                hits = np.where(rained, rainy.ranges.reshape(-1), np.inf)
+                assert not (rained_before & ~rained).any()
+                assert (hits <= hits_before).all()
+                rained_before, hits_before = rained, hits
+
+
 def test_empirical_concentration_matches_expected():
     config = RainConfig(rate=10)
     bounds = ([0, 0, 0], [1.0, 1.0, 1.0])

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from derainkit import CAR, LabelSet, PointCloud, SensorCalibration, fileio
+from derainkit import CAR, LabelSet, PointCloud, PolarGridMap, SensorCalibration, fileio
 from derainkit.annotate import AnnotationScene, PlaneModel
 from derainkit.errors import DerainKitError, FieldError
 from derainkit.scene import OrientedBox, SceneSpec
@@ -18,7 +18,8 @@ def _scene_with_box(box):
 
 
 # name: (constructor from the caller's array, that array, the field holding it,
-#        a write into it that the constructor rejects, writer and reader or None)
+#        a write into it, one the constructor rejects where a codec is given,
+#        writer and reader or None)
 CHECKED = {
     "PointCloud": (lambda a: PointCloud(a, np.full(2, 0.5)), np.zeros((2, 3)), "coords",
                    ((0, 0), np.nan), (fileio.write_cloud, fileio.read_cloud)),
@@ -39,6 +40,9 @@ CHECKED = {
                         (fileio.write_annotation_json, fileio.read_annotation_json)),
     "PlaneModel": (lambda a: PlaneModel(a, -1.0, 10), np.array([0.0, 0.0, 1.0]), "normal",
                    (0, 5.0), None),
+    "PolarGridMap": (lambda a: PolarGridMap(np.zeros((1, 2, 3)), np.zeros((1, 2)), a,
+                                            np.zeros((1, 2), bool)),
+                     np.ones((1, 2)), "ranges", ((0, 1), 5.0), None),
 }
 
 
@@ -61,7 +65,7 @@ def test_checked_values_keep_read_only_copies(name):
 
 
 @pytest.mark.parametrize("cls", [PointCloud, LabelSet, SensorCalibration, OrientedBox,
-                                 SceneSpec, AnnotationScene, PlaneModel])
+                                 SceneSpec, AnnotationScene, PlaneModel, PolarGridMap])
 def test_checked_array_fields_declare_their_shape(cls):
     arrays = [f for f in dataclasses.fields(cls) if f.type in ("np.ndarray", np.ndarray)]
     assert arrays and all("shape" in f.metadata for f in arrays)
