@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BACKGROUND, RAIN, ROAD, SPRINKLER, LabelSet, PointCloud, store_fields
+from .core import BACKGROUND, RAIN, ROAD, SPRINKLER, LabelSet, PointCloud, check_seed, store_fields
 from .errors import (
-    DegeneratePolygonError,
     EmptySourceError,
     InvalidInputError,
     NoValidHypothesisError,
@@ -51,12 +50,13 @@ class AnnotationScene:
 
     def __post_init__(self):
         store_fields(self)
-        check_road_polygon(self.road_polygon, DegeneratePolygonError)
+        check_road_polygon(self.road_polygon)
 
 
 @dataclass(frozen=True)
 class RansacConfig:
-    """iterations an integer >= 1, inlier_threshold (m) positive and finite."""
+    """iterations an integer >= 1, inlier_threshold (m) positive and finite, seed as
+    ``check_seed`` requires."""
 
     iterations: int = 200
     inlier_threshold: float = 0.05
@@ -67,6 +67,7 @@ class RansacConfig:
             raise InvalidInputError("iterations must be an integer >= 1")
         if not 0 < self.inlier_threshold < math.inf:
             raise InvalidInputError("inlier_threshold must be positive and finite")
+        check_seed(self.seed)
 
 
 def _triplet_normal(p, q, r) -> np.ndarray:
@@ -149,6 +150,8 @@ def auto_annotate(
     plane_tolerance: float = 0.1,
 ) -> LabelSet:
     """Label a cloud by elimination against the fitted road plane and scene boxes."""
+    if not 0 <= plane_tolerance < math.inf:  # NaN fails it
+        raise InvalidInputError("plane_tolerance must be non-negative and finite")
     plane = ransac_plane(cloud, ransac.iterations, ransac.inlier_threshold, ransac.seed)
     d = plane.signed_distance(cloud.coords)
 
@@ -170,10 +173,7 @@ def auto_annotate(
 def _check_transfer(src_cloud: PointCloud, src_labels: LabelSet, dst_cloud: PointCloud) -> None:
     if src_cloud.count == 0:
         raise EmptySourceError("source cloud is empty")
-    if src_labels.count != src_cloud.count:
-        raise EmptySourceError(
-            f"source labels ({src_labels.count}) do not match cloud ({src_cloud.count})"
-        )
+    src_labels.check_count(src_cloud.count, "source points")
 
 
 def _argmin_nearest(dst: np.ndarray, src: np.ndarray) -> np.ndarray:

@@ -50,23 +50,27 @@ def _read_path(path: str) -> bytes:
 def _load_scene(arg: str):
     if arg in BUILTIN_SCENE_NAMES:
         return builtin_scene(arg)
-    return fileio.read_scene_json(_read_path(arg).decode())
+    return fileio.read_scene_json(_read_path(arg))
 
 
 def _load_calibration(path: str | None):
     if path is None:
         return grid_calibration(**DEFAULT_CALIBRATION)
-    return fileio.read_calibration_json(_read_path(path).decode())
+    return fileio.read_calibration_json(_read_path(path))
+
+
+def _emit(text: str, out: str | None) -> None:
+    """A command's text: written to ``out`` as it is, else printed ending in one line break."""
+    if out:
+        Path(out).write_text(text)
+    else:
+        print(text, end="" if text.endswith("\n") else "\n")
 
 
 # ---------------------------------------------------------------- subcommands
 
 def _cmd_scene(args) -> int:
-    text = fileio.write_scene_json(builtin_scene(args.name))
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        print(text)
+    _emit(fileio.write_scene_json(builtin_scene(args.name)), args.out)
     return 0
 
 
@@ -95,7 +99,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_derain(args) -> int:
     cloud = fileio.read_cloud(_read_path(args.infile))
-    params = fileio.read_filter_params_json(_read_path(args.filter).decode())
+    params = fileio.read_filter_params_json(_read_path(args.filter))
     keep = apply_filter(cloud, params)
     if args.mask:
         Path(args.mask).write_bytes(fileio.write_mask(keep))
@@ -107,7 +111,7 @@ def _cmd_derain(args) -> int:
 
 def _cmd_annotate(args) -> int:
     cloud = fileio.read_cloud(_read_path(args.infile))
-    scene = fileio.read_annotation_json(_read_path(args.scene).decode())
+    scene = fileio.read_annotation_json(_read_path(args.scene))
     cfg = RansacConfig(
         iterations=args.iterations,
         inlier_threshold=args.threshold,
@@ -133,14 +137,9 @@ def _cmd_eval(args) -> int:
     for pred_path, gt_path in zip(args.pred, args.gt):
         keep = fileio.read_mask(_read_path(pred_path))
         labels = fileio.read_labels(_read_path(gt_path))
-        if keep.shape[0] != labels.count:
-            raise CliError(f"mask {pred_path} ({keep.shape[0]}) vs labels {gt_path} ({labels.count})")
         pooled = pooled + confusion(~keep, labels)
-    text = fileio.write_results_csv([BenchmarkRow("pred", "all", derive_metrics(pooled))])
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        print(text, end="")
+    rows = [BenchmarkRow("pred", "all", derive_metrics(pooled))]
+    _emit(fileio.write_results_csv(rows), args.out)
     return 0
 
 
@@ -172,23 +171,15 @@ def _cmd_tune(args) -> int:
         n_trials=args.trials,
         seed=stage_seed(args.seed, "tune"),
     )
-    text = fileio.write_filter_params_json(params)
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        print(text)
+    _emit(fileio.write_filter_params_json(params), args.out)
     print(f"best pooled F1: {best_f1 * 100:.2f}", file=sys.stderr)
     return 0
 
 
 def _cmd_bench(args) -> int:
     dataset = _scan_dataset(args.data)
-    filters = fileio.read_filter_list_json(_read_path(args.filters).decode())
-    text = fileio.write_results_csv(benchmark_run(dataset, filters))
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        print(text, end="")
+    filters = fileio.read_filter_list_json(_read_path(args.filters))
+    _emit(fileio.write_results_csv(benchmark_run(dataset, filters)), args.out)
     return 0
 
 

@@ -129,6 +129,12 @@ def empty_cloud() -> PointCloud:
     return PointCloud(np.empty((0, 3)), np.empty(0))
 
 
+def check_seed(seed) -> None:
+    """Every seed's rule: an integer in [0, 2**128), which a Philox key holds."""
+    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2 ** 128):
+        raise InvalidInputError("seed must be an integer in [0, 2**128)")
+
+
 def _check_class_ids(ids: np.ndarray) -> None:
     """Ids as given, so the int32 cast can neither truncate 2.7 nor wrap 2**40 into range."""
     valid = (ids >= 0) & (ids < NUM_CLASSES)  # NaN fails both
@@ -150,6 +156,11 @@ class LabelSet:
     @property
     def count(self) -> int:
         return self.labels.shape[0]
+
+    def check_count(self, n: int, what: str) -> None:
+        """Raise ``LengthMismatchError`` unless there is one label for each of n ``what``."""
+        if n != self.count:
+            raise LengthMismatchError(f"{self.count} labels for {n} {what}")
 
 
 @dataclass(frozen=True)
@@ -243,11 +254,8 @@ def merge_clouds(
     b_labels: LabelSet,
 ) -> tuple[PointCloud, LabelSet]:
     """Early fusion: concatenate two labeled clouds, a's points first."""
-    for cloud, labels in ((a, a_labels), (b, b_labels)):
-        if labels.count != cloud.count:
-            raise InvalidInputError(
-                f"labels ({labels.count}) do not match cloud ({cloud.count})"
-            )
+    a_labels.check_count(a.count, "points")
+    b_labels.check_count(b.count, "points")
     merged = PointCloud(
         np.concatenate([a.coords, b.coords], axis=0),
         np.concatenate([a.intensity, b.intensity]),

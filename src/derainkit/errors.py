@@ -9,10 +9,6 @@ class DerainKitError(ValueError):
     """Base class for all toolkit errors."""
 
 
-class LengthMismatchError(DerainKitError):
-    pass
-
-
 class IndexedError(DerainKitError):
     """An error about one item of a sequence, named by its ``index``; ``problem`` says what."""
 
@@ -39,6 +35,10 @@ class IntensityOutOfRangeError(IndexedError):
 
 class InvalidInputError(DerainKitError):
     pass
+
+
+class LengthMismatchError(InvalidInputError):
+    """Two sequences that pair item by item, such as a cloud and its labels, differ in length."""
 
 
 class OriginPointError(IndexedError):
@@ -85,8 +85,8 @@ class NoValidHypothesisError(DerainKitError):
     pass
 
 
-class DegeneratePolygonError(DerainKitError):
-    pass
+class DegeneratePolygonError(InvalidSpecError):
+    """A road polygon that is not simple, has fewer than 3 vertices or overflows."""
 
 
 class EmptySourceError(DerainKitError):

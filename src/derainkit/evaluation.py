@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RAIN, ConfusionCounts, LabelSet
-from .errors import EmptyDatasetError, EmptySearchSpaceError, LengthMismatchError
+from .core import RAIN, ConfusionCounts, LabelSet, check_seed
+from .errors import EmptyDatasetError, EmptySearchSpaceError
 from .filters import DEFAULT_PARAMS, KINDS, CloudStack, FilterParams  # DEFAULT_PARAMS re-exported
 
 
@@ -38,10 +38,7 @@ class BenchmarkRow:
 def confusion(pred_removed: np.ndarray, gt_labels: LabelSet) -> ConfusionCounts:
     """Tally the binary rain task; pred_removed[i] = True means "classified rain"."""
     pred_removed = np.asarray(pred_removed, dtype=bool).reshape(-1)
-    if pred_removed.shape[0] != gt_labels.count:
-        raise LengthMismatchError(
-            f"prediction ({pred_removed.shape[0]}) does not match labels ({gt_labels.count})"
-        )
+    gt_labels.check_count(pred_removed.shape[0], "predictions")
     return _tally(pred_removed, gt_labels.labels == RAIN)
 
 
@@ -55,9 +52,7 @@ def _tally(removed: np.ndarray, is_rain: np.ndarray) -> ConfusionCounts:
 def _stack(pairs, params) -> tuple[CloudStack, np.ndarray]:
     """A CloudStack of the (cloud, labels) pairs' clouds for params, and their rain flags."""
     for cloud, labels in pairs:
-        if cloud.count != labels.count:
-            raise LengthMismatchError(
-                f"cloud ({cloud.count}) does not match labels ({labels.count})")
+        labels.check_count(cloud.count, "points")
     is_rain = np.concatenate([np.zeros(0, bool), *(labels.labels == RAIN for _, labels in pairs)])
     return CloudStack([cloud for cloud, _ in pairs], params), is_rain
 
@@ -149,7 +144,8 @@ def tune_filter(
 
     Draws up to n_samples (cloud, labels) pairs without replacement, then
     evaluates n_trials independently sampled parameter vectors; ties keep the
-    earliest trial. Fully determined by seed. The sampled clouds are stacked
+    earliest trial. n_samples and n_trials are integers >= 1; fully determined
+    by seed, which ``check_seed`` checks. The sampled clouds are stacked
     once (``CloudStack``, which reads each cloud's kNN table in place and
     keeps, for this call, one column per ROR/DROR count and the prefix means
     per SOR/DSOR k that the trials read), so each trial is a few array
@@ -160,8 +156,10 @@ def tune_filter(
         raise EmptyDatasetError("tuning dataset is empty")
     if kind not in KINDS:
         raise EmptySearchSpaceError(f"unknown filter kind {kind!r}")
-    if n_trials < 1:
-        raise EmptySearchSpaceError("n_trials must be >= 1")
+    for name, n in (("n_samples", n_samples), ("n_trials", n_trials)):
+        if not (isinstance(n, (int, np.integer)) and n >= 1):
+            raise EmptySearchSpaceError(f"{name} must be an integer >= 1")
+    check_seed(seed)
 
     rng = np.random.default_rng(seed)
     take = min(n_samples, len(dataset))

@@ -11,7 +11,8 @@ by ``_encode`` and read by ``_decode`` from each field's declared type: float is
 any JSON number but a boolean, int an integral number, an array nested lists of
 numbers in the field's ``shape`` metadata, a tuple a list of ``item`` objects.
 A scene nests its ground normal and offset under "ground_plane"; a filter
-object leads with its "kind". Readers check JSON types and byte layouts only:
+object leads with its "kind". JSON readers take bytes or a str, decoded only by
+``_parse_json``. Readers check JSON types and byte layouts only:
 each value is checked by the constructor it is handed to, e.g. ``PointCloud``.
 
 Readers map every malformed input to a typed error; they never crash on
@@ -153,9 +154,13 @@ def _dump(obj) -> str:
     return json.dumps(obj, indent=2)
 
 
-def _parse_json(text: str) -> dict:
+def _parse_json(data: bytes | str):
+    """The one place JSON is decoded: a file's bytes in UTF-8, UTF-16 or UTF-32 (as
+    ``json.loads`` detects them, with or without a BOM), or a str."""
     try:
-        return json.loads(text)
+        return json.loads(data)
+    except UnicodeDecodeError as exc:
+        raise SchemaError("/", f"not UTF-8, UTF-16 or UTF-32 text: {exc.reason}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError("/", f"invalid JSON: {exc.msg}") from exc
 
@@ -168,7 +173,7 @@ def write_scene_json(spec: SceneSpec) -> str:
     return _dump({"ground_plane": plane, **obj})
 
 
-def read_scene_json(text: str) -> SceneSpec:
+def read_scene_json(text: bytes | str) -> SceneSpec:
     obj = _parse_json(text)
     plane = _get(obj, "ground_plane", "", dict)
     return _decode(SceneSpec, obj, "",
@@ -182,7 +187,7 @@ def write_annotation_json(scene: AnnotationScene) -> str:
     return _dump(_encode(scene))
 
 
-def read_annotation_json(text: str) -> AnnotationScene:
+def read_annotation_json(text: bytes | str) -> AnnotationScene:
     return _decode(AnnotationScene, _parse_json(text), "")
 
 
@@ -190,7 +195,7 @@ def write_calibration_json(calib: SensorCalibration) -> str:
     return _dump(_encode(calib))
 
 
-def read_calibration_json(text: str) -> SensorCalibration:
+def read_calibration_json(text: bytes | str) -> SensorCalibration:
     return _decode(SensorCalibration, _parse_json(text), "")
 
 
@@ -198,7 +203,7 @@ def write_rain_config_json(config: RainConfig) -> str:
     return _dump(_encode(config))
 
 
-def read_rain_config_json(text: str) -> RainConfig:
+def read_rain_config_json(text: bytes | str) -> RainConfig:
     return _decode(RainConfig, _parse_json(text), "")
 
 
@@ -213,11 +218,11 @@ def _filter_params(obj, path) -> FilterParams:
     return _decode(cls, obj, path)
 
 
-def read_filter_params_json(text: str) -> FilterParams:
+def read_filter_params_json(text: bytes | str) -> FilterParams:
     return _filter_params(_parse_json(text), "")
 
 
-def read_filter_list_json(text: str) -> list:
+def read_filter_list_json(text: bytes | str) -> list:
     """[{"name": non-empty string, "params": filter params object}] -> [(name, params)]."""
     entries = _parse_json(text)
     if not isinstance(entries, list):

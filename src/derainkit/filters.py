@@ -47,6 +47,13 @@ from .errors import EmptyIndexError, InvalidInputError, TooFewPointsError, TooLa
 BRUTE_FORCE_LIMIT = 2000
 
 
+def _check_count(params, least: int) -> None:
+    """Every kind's count rule: the field that ``count`` names holds an integer >= least."""
+    n = getattr(params, params.count)
+    if not (isinstance(n, (int, np.integer)) and n >= least):
+        raise InvalidInputError(f"{params.count} must be an integer >= {least}")
+
+
 @dataclass(frozen=True)
 class Ror:
     """Radius outlier removal: keep points with >= min_neighbors within radius."""
@@ -60,8 +67,7 @@ class Ror:
     def __post_init__(self):
         if not 0 < self.radius < math.inf:
             raise InvalidInputError("radius must be positive and finite")
-        if self.min_neighbors < 0:
-            raise InvalidInputError("min_neighbors must be non-negative")
+        _check_count(self, 0)
 
     def bound(self, ranges, mean=None, std=None):
         return self.radius
@@ -78,8 +84,7 @@ class Sor:
     s: float
 
     def __post_init__(self):
-        if self.k < 1:
-            raise InvalidInputError("k must be >= 1")
+        _check_count(self, 1)
         if not 0 <= self.s < math.inf:
             raise InvalidInputError("s must be non-negative and finite")
 
@@ -107,8 +112,9 @@ class Dror:
     def __post_init__(self):
         if not (0 < self.alpha < math.inf and 0 < self.beta < math.inf):
             raise InvalidInputError("alpha and beta must be positive and finite")
-        if self.k_min < 0 or not 0 <= self.sr_min < math.inf:
-            raise InvalidInputError("k_min and sr_min must be non-negative, sr_min finite")
+        _check_count(self, 0)
+        if not 0 <= self.sr_min < math.inf:
+            raise InvalidInputError("sr_min must be non-negative and finite")
 
     def bound(self, ranges, mean=None, std=None):
         # fmax, not maximum: at range 0 an overflowed beta * alpha gives inf * 0 = nan,
@@ -129,8 +135,7 @@ class Dsor:
     r: float
 
     def __post_init__(self):
-        if self.k < 1:
-            raise InvalidInputError("k must be >= 1")
+        _check_count(self, 1)
         if not (0 <= self.s < math.inf and 0 < self.r < math.inf):
             raise InvalidInputError("need s >= 0 and r > 0, both finite")
 

@@ -105,7 +105,7 @@ def project_to_pgm(cloud: PointCloud, calib: SensorCalibration) -> PolarGridMap:
     Each point goes to the cell of its nearest elevation/azimuth pair; cell
     collisions keep the nearest-range point (first-return behavior). Cells
     without a point become unreturned: range r_max, intensity 0, coordinates
-    on the beam axis at r_max.
+    on the beam axis at r_max (``beam_directions`` times r_max, as in ``raycast_scene``).
     """
     if calib.v == 0 or calib.h == 0:
         raise EmptyCalibrationError("calibration tables must be non-empty")
@@ -129,10 +129,8 @@ def project_to_pgm(cloud: PointCloud, calib: SensorCalibration) -> PolarGridMap:
 
     unreturned = ranges_g == 0.0
     if unreturned.any():
-        az_full, el_full = np.meshgrid(calib.azimuths, calib.elevations)
-        beam_coords = to_euclidean(np.full((v, h), calib.r_max), az_full, el_full)
         ranges_g[unreturned] = calib.r_max
-        coords_g[unreturned] = beam_coords[unreturned]
+        coords_g[unreturned] = beam_directions(calib)[unreturned] * calib.r_max
     return PolarGridMap(coords_g, intensity_g, ranges_g, unreturned)
 
 

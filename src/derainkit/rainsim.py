@@ -30,11 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RAIN, LabelSet, SensorCalibration
+from .core import RAIN, LabelSet, SensorCalibration, check_seed
 from .errors import (
     DegenerateBoundsError,
     InvalidInputError,
-    LengthMismatchError,
     NonPositiveRateError,
 )
 from .pgm import PolarGridMap, beam_directions
@@ -72,8 +71,7 @@ class RainConfig:
             raise InvalidInputError("beam_divergence must lie in [0, pi/2)")
         if not 0 <= self.rain_reflectance <= 1:
             raise InvalidInputError("rain_reflectance must lie in [0, 1]")
-        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2 ** 128):
-            raise InvalidInputError("seed must be an integer in [0, 2**128)")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -232,8 +230,7 @@ def inject_rain(
     axis; every other cell is copied unchanged. Deterministic for fixed inputs.
     """
     v, h = pgm.v, pgm.h
-    if labels.count != v * h:
-        raise LengthMismatchError(f"labels ({labels.count}) do not match grid ({v * h})")
+    labels.check_count(v * h, "grid cells")
 
     limits = np.where(pgm.unreturned, calib.r_max, pgm.ranges if occlude_returns else -np.inf)
     limits = np.maximum(limits.reshape(-1), calib.r_min)

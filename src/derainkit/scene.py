@@ -30,9 +30,10 @@ from .core import (
     TARGETS,
     LabelSet,
     SensorCalibration,
+    check_seed,
     store_fields,
 )
-from .errors import InvalidSpecError, UnknownSceneError
+from .errors import DegeneratePolygonError, InvalidSpecError, UnknownSceneError
 from .pgm import PolarGridMap, beam_directions
 
 
@@ -97,7 +98,7 @@ class SceneSpec:
             raise InvalidSpecError("ground normal must have positive z component")
         if not 0 <= self.ground_reflectance <= 1:
             raise InvalidSpecError("ground reflectance must be in [0, 1]")
-        check_road_polygon(self.road_polygon, InvalidSpecError)
+        check_road_polygon(self.road_polygon)
 
 
 def _segments_intersect(p1, p2, p3, p4) -> bool:
@@ -111,15 +112,16 @@ def _segments_intersect(p1, p2, p3, p4) -> bool:
     return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0))
 
 
-def check_road_polygon(poly: np.ndarray, error: type) -> None:
-    """Raise ``error`` unless the (n, 2) polygon is simple, with n >= 3 vertices in [-1e100, 1e100]."""
+def check_road_polygon(poly: np.ndarray) -> None:
+    """Raise ``DegeneratePolygonError`` unless the (n, 2) polygon is simple, with n >= 3
+    vertices in [-1e100, 1e100]."""
     # Beyond 1e100 the cross products of the polygon tests overflow.
     if not (np.abs(poly) <= 1e100).all():
-        raise error("road polygon vertices must lie in [-1e100, 1e100]")
+        raise DegeneratePolygonError("road polygon vertices must lie in [-1e100, 1e100]")
     if poly.shape[0] < 3:
-        raise error("road polygon needs at least 3 vertices")
+        raise DegeneratePolygonError("road polygon needs at least 3 vertices")
     if not _polygon_is_simple(poly):
-        raise error("road polygon is self-intersecting")
+        raise DegeneratePolygonError("road polygon is self-intersecting")
 
 
 def _polygon_is_simple(poly: np.ndarray) -> bool:
@@ -227,10 +229,12 @@ def raycast_scene(
 
     Returns the resulting grid and per-cell labels over the flattened grid
     (length V*H). Range noise is zero-mean Gaussian along the ray, drawn from
-    a counter-based generator so results are schedule-independent.
+    a counter-based generator so results are schedule-independent;
+    noise_sigma must be non-negative and finite, seed as ``check_seed`` requires.
     """
-    if noise_sigma < 0:
-        raise InvalidSpecError("noise_sigma must be non-negative")
+    if not 0 <= noise_sigma < math.inf:  # NaN fails it
+        raise InvalidSpecError("noise_sigma must be non-negative and finite")
+    check_seed(seed)
     v, h = calib.v, calib.h
     origin = np.array([0.0, 0.0, calib.sensor_height])
     dirs = beam_directions(calib).reshape(-1, 3)

@@ -369,3 +369,124 @@ def test_cli_chain_outputs_are_pinned(tmp_path):
         ):
             assert run(argv) == 0, argv
         assert file_hashes(w) == want
+
+
+# ---------------------------------------------------------------- one rule per input
+
+def json_inputs(tmp_path):
+    """{name: (argv with a JSON path in the slot "{json}", valid JSON text)} for every
+    subcommand flag that reads JSON; each argv's other inputs are valid."""
+    from derainkit.core import PointCloud
+    rng = np.random.default_rng(3)
+    cloud = PointCloud(rng.uniform(-5, 5, (60, 3)), rng.uniform(0, 1, 60))
+    labels = LabelSet(rng.integers(0, 3, 60))
+    (tmp_path / "data").mkdir()
+    for path in (tmp_path / "in.bin", tmp_path / "data" / "a.bin"):
+        path.write_bytes(fileio.write_cloud(cloud))
+        path.with_suffix(".label").write_bytes(fileio.write_labels(labels))
+    params = json.loads(fileio.write_filter_params_json(DEFAULT_PARAMS["ror"]))
+    sim = ["--rate", "10", "--out", str(tmp_path / "sim")]
+    return {
+        "derain --filter": (["derain", "--in", str(tmp_path / "in.bin"), "--filter", "{json}",
+                             "--mask", str(tmp_path / "keep.mask")], json.dumps(params)),
+        "simulate --scene": (["simulate", "--scene", "{json}", *sim],
+                             fileio.write_scene_json(builtin_scene("minimal"))),
+        "simulate --calib": (["simulate", "--scene", "minimal", "--calib", "{json}", *sim],
+                             fileio.write_calibration_json(grid_calibration(4, 8, r_max=10.0))),
+        "annotate --scene": (["annotate", "--in", str(tmp_path / "in.bin"), "--scene", "{json}",
+                              "--out", str(tmp_path / "auto.label")],
+                             fileio.write_annotation_json(
+                                 annotation_scene_from_spec(builtin_scene("minimal")))),
+        "bench --filters": (["bench", "--data", str(tmp_path / "data"), "--filters", "{json}",
+                             "--out", str(tmp_path / "results.csv")],
+                            json.dumps([{"name": "ror", "params": params}])),
+    }
+
+
+def test_json_inputs_read_utf16_and_bom_and_refuse_other_bytes(tmp_path, capsys):
+    """JSON is decoded in one place: UTF-8, UTF-16 and UTF-8 with a BOM read alike, and bytes
+    that are none of UTF-8, -16 or -32 exit 1 with an error, not a traceback."""
+    path = tmp_path / "input.json"
+    for name, (argv, text) in json_inputs(tmp_path).items():
+        argv = [str(path) if arg == "{json}" else arg for arg in argv]
+        for encoding in ("utf-8", "utf-16", "utf-8-sig", "utf-32"):
+            path.write_bytes(text.encode(encoding))
+            assert run(argv) == 0, (name, encoding, capsys.readouterr().err)
+        path.write_bytes(b"\xff" + text.encode())
+        assert run(argv) == 1, name
+        err = capsys.readouterr().err
+        assert err.startswith("error: schema error at /: not UTF-8, UTF-16 or UTF-32"), (name, err)
+        assert "Traceback" not in err
+
+
+def test_json_readers_take_bytes_or_str():
+    text = fileio.write_filter_params_json(DEFAULT_PARAMS["dsor"])
+    for data in (text, text.encode(), text.encode("utf-16")):
+        assert fileio.read_filter_params_json(data) == DEFAULT_PARAMS["dsor"]
+
+
+def test_non_utf8_json_exits_one_in_a_fresh_process(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"kind": "ror", "radius": "\xe9"}')
+    cloud = tmp_path / "in.bin"
+    cloud.write_bytes(np.array([1.0, 0.0, 0.0, 0.5], "<f4").tobytes())
+    proc = subprocess.run([sys.executable, "-m", "derainkit.cli", "derain", "--in", str(cloud),
+                           "--filter", str(bad)], capture_output=True, text=True, check=False)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: schema error at /") and "Traceback" not in proc.stderr
+
+
+def test_eval_mask_and_labels_of_different_lengths_exit_one(tmp_path, capsys):
+    mask, labels = tmp_path / "keep.mask", tmp_path / "gt.label"
+    mask.write_bytes(fileio.write_mask(np.ones(3, bool)))
+    labels.write_bytes(fileio.write_labels(LabelSet([2, 0])))
+    assert run(["eval", "--pred", str(mask), "--gt", str(labels)]) == 1
+    assert capsys.readouterr().err == "error: 2 labels for 3 predictions\n"
+
+
+def test_simulate_nan_noise_sigma_exits_one(tmp_path, capsys):
+    for sigma in ("nan", "-1", "inf"):
+        assert run(["simulate", "--scene", "minimal", "--rate", "10", "--noise-sigma", sigma,
+                    "--out", str(tmp_path / "sim")]) == 1
+        assert capsys.readouterr().err.startswith("error: noise_sigma")
+    assert not (tmp_path / "sim").exists()
+
+
+def test_annotate_bad_tolerance_exits_one(tmp_path, capsys):
+    argv, text = json_inputs(tmp_path)["annotate --scene"]
+    (tmp_path / "ann.json").write_text(text)
+    argv = [str(tmp_path / "ann.json") if arg == "{json}" else arg for arg in argv]
+    for tolerance in ("-1", "nan"):
+        assert run([*argv, "--tolerance", tolerance]) == 1
+        assert capsys.readouterr().err.startswith("error: plane_tolerance")
+    assert not (tmp_path / "auto.label").exists()
+
+
+def test_tune_samples_below_one_exit_one(tmp_path, capsys):
+    json_inputs(tmp_path)
+    for flag, value in (("--samples", "-1"), ("--samples", "0"), ("--trials", "0")):
+        assert run(["tune", "--data", str(tmp_path / "data"), "--kind", "ror", flag, value,
+                    "--out", str(tmp_path / "best.json")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: n_{flag[2:]} must be an integer >= 1")
+    assert not (tmp_path / "best.json").exists()
+
+
+def test_commands_print_what_they_write(tmp_path, capsys):
+    """Without --out a command prints its text, ending in one line break; with it, the file
+    holds the text as it is."""
+    json_inputs(tmp_path)
+    filters = tmp_path / "filters.json"
+    filters.write_text(json.dumps([{"name": "ror", "params": json.loads(
+        fileio.write_filter_params_json(DEFAULT_PARAMS["ror"]))}]))
+    (tmp_path / "keep.mask").write_bytes(fileio.write_mask(np.arange(60) % 2 == 0))
+    for argv in (["scene", "--name", "corridor"],
+                 ["tune", "--data", str(tmp_path / "data"), "--kind", "sor", "--trials", "3"],
+                 ["bench", "--data", str(tmp_path / "data"), "--filters", str(filters)],
+                 ["eval", "--pred", str(tmp_path / "keep.mask"),
+                  "--gt", str(tmp_path / "in.label")]):
+        assert run(argv) == 0
+        printed = capsys.readouterr().out
+        assert run([*argv, "--out", str(tmp_path / "out.txt")]) == 0
+        written = (tmp_path / "out.txt").read_text()
+        assert printed == (written if written.endswith("\n") else written + "\n"), argv[0]
+        assert printed.endswith("\n") and not printed.endswith("\n\n")

@@ -154,3 +154,21 @@ def test_polar_grid_map_checks_shapes_and_mask(coords, intensity, ranges, unretu
         PolarGridMap(coords, intensity, ranges, unreturned)
     assert err.value.field == field
 
+
+
+def test_projecting_a_raycast_scan_reproduces_its_unreturned_cells():
+    """Both paths put an unreturned cell on beam_directions(calib) * r_max, bit for bit."""
+    from derainkit import builtin_scene, grid_calibration, raycast_scene
+
+    calib = grid_calibration(32, 128, elevation_span=(-0.42, 0.03), azimuth_span=(-0.7, 0.7),
+                             r_max=15.0)
+    grid, _ = raycast_scene(builtin_scene("rehearse-like"), calib, noise_sigma=0.01, seed=3)
+    cloud, unreturned = flatten(grid)
+    returned = PointCloud(cloud.coords[~unreturned], cloud.intensity[~unreturned])
+    projected = project_to_pgm(returned, calib)
+    mask = grid.unreturned
+    assert 0 < mask.sum() < mask.size
+    np.testing.assert_array_equal(projected.unreturned, mask)
+    for name in ("coords", "ranges", "intensity"):
+        np.testing.assert_array_equal(getattr(projected, name)[mask], getattr(grid, name)[mask])
+    np.testing.assert_array_equal(projected.coords[~mask], grid.coords[~mask])
