@@ -15,13 +15,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import BACKGROUND, RAIN, ROAD, SPRINKLER, LabelSet, PointCloud, check_seed, store_fields
+from .core import (
+    BACKGROUND,
+    RAIN,
+    ROAD,
+    SPRINKLER,
+    LabelSet,
+    PointCloud,
+    check_seed,
+    is_integer,
+    store_fields,
+)
 from .errors import (
     EmptySourceError,
     InvalidInputError,
     NoValidHypothesisError,
     TooFewPointsError,
 )
+from .filters import squared_distance_blocks
 from .scene import OrientedBox, SceneSpec, check_road_polygon, points_in_polygon
 
 
@@ -63,7 +74,7 @@ class RansacConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (isinstance(self.iterations, (int, np.integer)) and self.iterations >= 1):
+        if not (is_integer(self.iterations) and self.iterations >= 1):
             raise InvalidInputError("iterations must be an integer >= 1")
         if not 0 < self.inlier_threshold < math.inf:
             raise InvalidInputError("inlier_threshold must be positive and finite")
@@ -177,12 +188,11 @@ def _check_transfer(src_cloud: PointCloud, src_labels: LabelSet, dst_cloud: Poin
 
 
 def _argmin_nearest(dst: np.ndarray, src: np.ndarray) -> np.ndarray:
-    """First-occurrence argmin of squared distances, in blocks of ~2M pairs."""
+    """First-occurrence argmin of squared distances, a block of ``squared_distance_blocks``
+    at a time."""
     out = np.empty(dst.shape[0], dtype=np.intp)
-    chunk = max(1, 2_000_000 // max(1, src.shape[0]))
-    for start in range(0, dst.shape[0], chunk):
-        diff = dst[start:start + chunk, None, :] - src[None, :, :]
-        out[start:start + chunk] = np.argmin((diff ** 2).sum(axis=2), axis=1)
+    for start, squares in squared_distance_blocks(dst, src):
+        out[start:start + len(squares)] = np.argmin(squares, axis=1)
     return out
 
 

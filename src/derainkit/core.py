@@ -129,9 +129,14 @@ def empty_cloud() -> PointCloud:
     return PointCloud(np.empty((0, 3)), np.empty(0))
 
 
+def is_integer(value) -> bool:
+    """Every integer rule's type: an int or numpy integer, never a bool (a bool is an int)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_seed(seed) -> None:
     """Every seed's rule: an integer in [0, 2**128), which a Philox key holds."""
-    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2 ** 128):
+    if not (is_integer(seed) and 0 <= seed < 2 ** 128):
         raise InvalidInputError("seed must be an integer in [0, 2**128)")
 
 

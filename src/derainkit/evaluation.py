@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RAIN, ConfusionCounts, LabelSet, check_seed
+from .core import RAIN, ConfusionCounts, LabelSet, check_seed, is_integer
 from .errors import EmptyDatasetError, EmptySearchSpaceError
 from .filters import DEFAULT_PARAMS, KINDS, CloudStack, FilterParams  # DEFAULT_PARAMS re-exported
 
@@ -157,7 +157,7 @@ def tune_filter(
     if kind not in KINDS:
         raise EmptySearchSpaceError(f"unknown filter kind {kind!r}")
     for name, n in (("n_samples", n_samples), ("n_trials", n_trials)):
-        if not (isinstance(n, (int, np.integer)) and n >= 1):
+        if not (is_integer(n) and n >= 1):
             raise EmptySearchSpaceError(f"{name} must be an integer >= 1")
     check_seed(seed)
 

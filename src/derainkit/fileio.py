@@ -163,6 +163,8 @@ def _parse_json(data: bytes | str):
         raise SchemaError("/", f"not UTF-8, UTF-16 or UTF-32 text: {exc.reason}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError("/", f"invalid JSON: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise SchemaError("/", "nested too deeply") from exc
 
 
 # ---------------------------------------------------------------- config json

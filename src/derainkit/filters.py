@@ -13,9 +13,12 @@ so they compare one column of the table with the radius (m = 0 keeps every
 point). SOR/DSOR read one column of the table's running sums: a point's d for
 count k is the left-to-right sum of its k nearest distances divided by k,
 which is numpy's mean of the row for k <= 7 (numpy adds fewer than 8 terms
-left to right and more pairwise). The table's distances come from the
-oracle's own arithmetic and the oracle forms d the same way, so boundary
-cases agree bit for bit.
+left to right and more pairwise). The table holds the kd-tree query's own
+distances, which equal the oracle's arithmetic bit for bit, and the oracle
+forms d the same way, so boundary cases agree bit for bit. The table is
+stored column-major, so the column a rule reads is contiguous, and the
+oracle works a block of points at a time, so neither holds n x n or
+n x k x 3 temporaries.
 Past a cloud's n - 1 neighbors the table holds +inf padding, which ROR/DROR
 never read: a cloud of at most m points gets nan for the column and keeps
 none, so a radius that overflows to inf (DROR's beta * alpha * range) still
@@ -41,16 +44,20 @@ from typing import ClassVar, Union
 
 import numpy as np
 
-from .core import PointCloud
+from .core import PointCloud, is_integer
 from .errors import EmptyIndexError, InvalidInputError, TooFewPointsError, TooLargeError
 
 BRUTE_FORCE_LIMIT = 2000
+# Points per kd-tree query while a neighbour table is built.
+KNN_BLOCK = 4096
+# Point pairs per block of the exhaustive oracles: each block's float64 temporaries are 1 MB.
+ORACLE_BLOCK = 1 << 17
 
 
 def _check_count(params, least: int) -> None:
     """Every kind's count rule: the field that ``count`` names holds an integer >= least."""
     n = getattr(params, params.count)
-    if not (isinstance(n, (int, np.integer)) and n >= least):
+    if not (is_integer(n) and n >= least):
         raise InvalidInputError(f"{params.count} must be an integer >= {least}")
 
 
@@ -158,13 +165,18 @@ class SpatialIndex:
     """kd-tree over a cloud answering kNN distance tables and their running sums.
 
     Query results match exhaustive search exactly; the query point itself is
-    excluded from the neighbor distances. The widest kNN distance
-    table computed so far (n x k_max float64, 8*n*k_max bytes) is cached, so a
-    query for any k <= k_max is a slice of it and only a larger k queries the
-    tree again. Each row is sorted ascending and holds +inf past the cloud's
-    n - 1 neighbors. The running sums of the table's rows are cached the same
-    way once asked for (another 8*n*k_max bytes). Both are read-only. Filters
-    given no index use the cloud's own, ``cloud.index``.
+    excluded from the neighbor distances. The widest kNN distance table
+    computed so far (k_max x n float64, 8*n*k_max bytes) is cached
+    column-major: row j holds every point's (j+1)-th nearest distance, so one
+    column of the n x k table a query returns (its ``.T`` view) is contiguous,
+    and a query for any k <= k_max is a slice of it; only a larger k queries
+    the tree again. The tree is queried ``KNN_BLOCK`` points at a time and
+    each block's distances are written straight into the table, so building
+    it takes the table plus a few blocks of k_max + 1 distances and indices.
+    Each point's distances ascend and hold +inf past the cloud's n - 1
+    neighbors. The running sums along each point's distances are cached the
+    same way once asked for (another 8*n*k_max bytes). Both are read-only.
+    Filters given no index use the cloud's own, ``cloud.index``.
     """
 
     def __init__(self, cloud: PointCloud):
@@ -172,38 +184,37 @@ class SpatialIndex:
         self.coords = cloud.coords
         self.count = cloud.count
         self._tree = cKDTree(cloud.coords) if cloud.count else None
-        self._knn_dists = self._knn_sums = np.empty((self.count, 0))
+        self._dists = self._sums = np.empty((0, self.count))
 
     def knn_dists(self, k: int) -> np.ndarray:
         """n x k distances to each point's k nearest neighbors (self excluded), rows ascending.
 
-        Columns past the cloud's n - 1 neighbors hold +inf.
+        Columns past the cloud's n - 1 neighbors hold +inf. The distances are the
+        tree's own, which equal the oracle's ``sqrt((dx*dx + dy*dy) + dz*dz)`` bit
+        for bit; the tree's first neighbor of each point, itself at distance 0, is dropped.
         """
         if self._tree is None:
             raise EmptyIndexError("index over an empty cloud")
-        if k > self._knn_dists.shape[1]:
+        if k > len(self._dists):
             width = min(k + 1, self.count)
-            _, idx = self._tree.query(self.coords, k=width)
-            # Recompute distances in the oracle's sorted order with the sum its
-            # (diff ** 2).sum(axis=2) forms, ((dx*dx + dy*dy) + dz*dz), so the two
-            # paths agree bit for bit.
-            neighbors = idx.reshape(self.count, width)[:, 1:]
-            dx, dy, dz = (axis[neighbors] - axis[:, None] for axis in self.coords.T)
-            dists = np.sort(np.sqrt((dx * dx + dy * dy) + dz * dz), axis=1)
-            self._knn_dists = _read_only(np.pad(dists, ((0, 0), (0, k + 1 - width)),
-                                                constant_values=np.inf))
-        return self._knn_dists[:, :k]
+            dists = np.empty((k, self.count))
+            dists[width - 1:] = np.inf
+            for start in range(0, self.count, KNN_BLOCK):
+                block, _ = self._tree.query(self.coords[start:start + KNN_BLOCK], k=width)
+                dists[:width - 1, start:start + KNN_BLOCK] = block.reshape(-1, width)[:, 1:].T
+            self._dists = _read_only(dists)
+        return self._dists[:k].T
 
     def knn_sums(self, k: int) -> np.ndarray:
-        """n x k running sums of the distance table's rows, added left to right.
+        """n x k running sums of each point's distances in the table, added left to right.
 
         Column j holds d_1 + ... + d_(j+1), so a point's mean distance to its k
         nearest neighbors is column k - 1 divided by k.
         """
         self.knn_dists(k)
-        if k > self._knn_sums.shape[1]:
-            self._knn_sums = _read_only(np.cumsum(self._knn_dists, axis=1))
-        return self._knn_sums[:, :k]
+        if k > len(self._sums):
+            self._sums = _read_only(np.cumsum(self._dists, axis=0))
+        return self._sums[:k].T
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -307,25 +318,53 @@ def apply_filter(cloud: PointCloud, params: FilterParams,
     return CloudStack([cloud], [params], [index]).keep(params)
 
 
+def squared_distance_blocks(rows: np.ndarray, points: np.ndarray):
+    """Yield (start, the squared distances of rows[start:stop] to every point), in blocks
+    of about ``ORACLE_BLOCK`` pairs (at least one row each).
+
+    Each entry is ``(dx*dx + dy*dy) + dz*dz``, the sum ``(diff ** 2).sum(axis=2)``
+    forms over the differences row - point, so the exhaustive oracles keep their
+    arithmetic bit for bit while their memory stays a few blocks.
+    """
+    step = max(1, ORACLE_BLOCK // max(1, len(points)))
+    for start in range(0, len(rows), step):
+        block = rows[start:start + step]
+        squares = block[:, 0, None] - points[:, 0]
+        squares *= squares
+        for axis in (1, 2):
+            diff = block[:, axis, None] - points[:, axis]
+            diff *= diff
+            squares += diff
+        yield start, squares
+
+
 def brute_force_mask(cloud: PointCloud, params: FilterParams) -> np.ndarray:
     """Exhaustive-pairwise oracle with the same contract as the fast filters.
 
-    It counts and sorts all pairwise distances itself and takes only each
-    kind's bound from the params. Guarded to small clouds; this is O(n^2) on purpose.
+    It counts and sorts all pairwise distances itself, a block of points at a
+    time (``squared_distance_blocks``), and takes only each kind's bound from
+    the params. Guarded to small clouds; this is O(n^2) on purpose.
     """
     if cloud.count > BRUTE_FORCE_LIMIT:
         raise TooLargeError(f"brute force limited to {BRUTE_FORCE_LIMIT} points")
     n = cloud.count
     if n == 0:
         return np.zeros(0, dtype=bool)
-    diff = cloud.coords[:, None, :] - cloud.coords[None, :, :]
-    # Self-exclusion: drop the diagonal, leaving each point's n - 1 neighbor distances.
-    dist = np.sqrt((diff ** 2).sum(axis=2))[~np.eye(n, dtype=bool)].reshape(n, n - 1)
-
     m = getattr(params, params.count)
-    if isinstance(params, (Ror, Dror)):
-        return (dist <= np.reshape(params.bound(cloud.ranges), (-1, 1))).sum(axis=1) >= m
-    if n < m + 1:
+    radius = isinstance(params, (Ror, Dror))
+    if radius:
+        bound = np.broadcast_to(np.reshape(params.bound(cloud.ranges), (-1, 1)), (n, 1))
+    elif n < m + 1:
         raise TooFewPointsError(f"need at least {m + 1} points, have {n}")
-    d = np.cumsum(np.sort(dist, axis=1)[:, :m], axis=1)[:, -1] / m
-    return d <= params.bound(cloud.ranges, d.mean(), d.std())
+    # Per point: ROR/DROR's count of neighbors within the bound, SOR/DSOR's prefix mean d.
+    stat = np.empty(n)
+    columns = np.arange(n)
+    for start, squares in squared_distance_blocks(cloud.coords, cloud.coords):
+        rows = slice(start, start + len(squares))
+        # Self-exclusion: drop the diagonal, leaving each point's n - 1 neighbor distances.
+        dist = np.sqrt(squares)[columns != columns[rows, None]].reshape(len(squares), n - 1)
+        stat[rows] = ((dist <= bound[rows]).sum(axis=1) if radius
+                      else np.cumsum(np.sort(dist, axis=1)[:, :m], axis=1)[:, -1] / m)
+    if radius:
+        return stat >= m
+    return stat <= params.bound(cloud.ranges, stat.mean(), stat.std())

@@ -490,3 +490,15 @@ def test_commands_print_what_they_write(tmp_path, capsys):
         written = (tmp_path / "out.txt").read_text()
         assert printed == (written if written.endswith("\n") else written + "\n"), argv[0]
         assert printed.endswith("\n") and not printed.endswith("\n\n")
+
+
+def test_deeply_nested_filter_json_exits_one(tmp_path, capsys):
+    cloud = tmp_path / "one.bin"
+    cloud.write_bytes(np.zeros(4, "<f4").tobytes())  # one point at the origin
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    code = run(["derain", "--in", str(cloud), "--filter", str(deep),
+                "--out", str(tmp_path / "keep.mask")])
+    assert code == 1
+    assert capsys.readouterr().err == "error: schema error at /: nested too deeply\n"
+    assert not (tmp_path / "keep.mask").exists()

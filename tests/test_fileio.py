@@ -387,3 +387,14 @@ def test_readers_survive_fuzzed_bytes():
             except (TruncatedFileError, InvalidClassError, NonFiniteCoordinateError,
                     IntensityOutOfRangeError, InvalidMaskByteError):
                 pass
+
+
+@pytest.mark.parametrize("read", [fileio.read_scene_json, fileio.read_annotation_json,
+                                  fileio.read_calibration_json, fileio.read_rain_config_json,
+                                  fileio.read_filter_params_json, fileio.read_filter_list_json])
+def test_json_nested_past_the_recursion_limit_is_schema_error(read):
+    for deep in ("[" * 200_000, "[" * 100_000 + "]" * 100_000, '{"a": ' * 100_000):
+        for data in (deep, deep.encode()):
+            with pytest.raises(SchemaError) as err:
+                read(data)
+            assert err.value.path == "/"

@@ -138,3 +138,35 @@ def test_an_empty_source_stays_its_own_error():
     """An empty source cloud is checked before its label count."""
     with pytest.raises(EmptySourceError):
         dk.transfer_labels(empty_cloud(), dk.LabelSet([1]), CLOUD)
+
+
+# ---------------------------------------------------------------- booleans are not integers
+
+@pytest.mark.parametrize("kind", COUNTS)
+def test_filter_count_rejects_booleans(kind):
+    default = DEFAULT_PARAMS[kind]
+    for bad in (True, False):
+        with pytest.raises(InvalidInputError, match=f"{default.count} must be an integer"):
+            type(default)(**{**vars(default), default.count: bad})
+
+
+@pytest.mark.parametrize("site", SEED_SITES)
+def test_seed_rejects_booleans(site):
+    for bad in (True, False):
+        with pytest.raises(InvalidInputError, match="seed must be an integer"):
+            SEED_SITES[site](bad)
+
+
+def test_ransac_iterations_rejects_booleans():
+    for bad in (True, False):
+        with pytest.raises(InvalidInputError, match="iterations must be an integer >= 1"):
+            dk.RansacConfig(iterations=bad)
+        with pytest.raises(InvalidInputError, match="iterations must be an integer >= 1"):
+            dk.ransac_plane(CLOUD, bad, 0.05)
+
+
+@pytest.mark.parametrize("name", ["n_samples", "n_trials"])
+def test_tune_sample_and_trial_counts_reject_booleans(name):
+    for bad in (True, False):
+        with pytest.raises(EmptySearchSpaceError, match=f"{name} must be an integer >= 1"):
+            tune_filter("ror", [(CLOUD, LABELS)], **{name: bad})
