@@ -10,15 +10,14 @@ All four filters read one table per cloud: each point's sorted distances to
 its nearest neighbors. ROR/DROR use the order statistic: a point has at least
 m neighbors within r exactly when its m-th nearest-neighbor distance is <= r,
 so they compare one column of the table with the radius (m = 0 keeps every
-point). SOR/DSOR read one column of the table's running sums: a point's d for
-count k is the left-to-right sum of its k nearest distances divided by k,
-which is numpy's mean of the row for k <= 7 (numpy adds fewer than 8 terms
-left to right and more pairwise). The table holds the kd-tree query's own
-distances, which equal the oracle's arithmetic bit for bit, and the oracle
-forms d the same way, so boundary cases agree bit for bit. The table is
-stored column-major, so the column a rule reads is contiguous, and the
-oracle works a block of points at a time, so neither holds n x n or
-n x k x 3 temporaries.
+point). SOR/DSOR read a point's prefix mean d for count k: the sum of its k
+nearest distances added left to right, divided by k, which is numpy's mean of
+the row for k <= 7 (numpy adds fewer than 8 terms left to right and more
+pairwise). The table holds the kd-tree query's own distances, which equal the
+oracle's arithmetic bit for bit, and the oracle forms d the same way, so
+boundary cases agree bit for bit. The table is stored column-major, so the
+column a rule reads is contiguous, and the oracle works a block of points at
+a time, so neither holds n x n or n x k x 3 temporaries.
 Past a cloud's n - 1 neighbors the table holds +inf padding, which ROR/DROR
 never read: a cloud of at most m points gets nan for the column and keeps
 none, so a radius that overflows to inf (DROR's beta * alpha * range) still
@@ -31,9 +30,10 @@ each point's range and, for SOR/DSOR, the mean and population std of the
 prefix means d over the point's cloud; arrays or scalars that broadcast).
 Everything else derives from them.
 
-``CloudStack`` evaluates these rules over several clouds at once. It reads
-each cloud's tables in place and gathers, once per count, only the column a
-rule reads, so one params' keep-mask is a few array operations over all rows.
+``CloudStack`` evaluates these rules over several clouds at once. It gathers,
+once per count, only what a rule reads from each cloud's index (one table
+column, or the prefix means and their cloud statistics), so one params'
+keep-mask is a few array operations over all rows.
 ``apply_filter`` is its one-cloud case.
 """
 from __future__ import annotations
@@ -162,7 +162,7 @@ KINDS = {name: type(p) for name, p in DEFAULT_PARAMS.items()}
 
 
 class SpatialIndex:
-    """kd-tree over a cloud answering kNN distance tables and their running sums.
+    """kd-tree over a cloud answering kNN distance tables and prefix means.
 
     Query results match exhaustive search exactly; the query point itself is
     excluded from the neighbor distances. The widest kNN distance table
@@ -174,8 +174,8 @@ class SpatialIndex:
     each block's distances are written straight into the table, so building
     it takes the table plus a few blocks of k_max + 1 distances and indices.
     Each point's distances ascend and hold +inf past the cloud's n - 1
-    neighbors. The running sums along each point's distances are cached the
-    same way once asked for (another 8*n*k_max bytes). Both are read-only.
+    neighbors. Each k's prefix means and their cloud mean and std are cached
+    once asked for (8*n bytes per distinct k). The arrays are read-only.
     Filters given no index use the cloud's own, ``cloud.index``.
     """
 
@@ -184,7 +184,8 @@ class SpatialIndex:
         self.coords = cloud.coords
         self.count = cloud.count
         self._tree = cKDTree(cloud.coords) if cloud.count else None
-        self._dists = self._sums = np.empty((0, self.count))
+        self._dists = np.empty((0, self.count))
+        self._means = {}
 
     def knn_dists(self, k: int) -> np.ndarray:
         """n x k distances to each point's k nearest neighbors (self excluded), rows ascending.
@@ -205,16 +206,22 @@ class SpatialIndex:
             self._dists = _read_only(dists)
         return self._dists[:k].T
 
-    def knn_sums(self, k: int) -> np.ndarray:
-        """n x k running sums of each point's distances in the table, added left to right.
+    def knn_means(self, k: int):
+        """(d, d.mean(), d.std()): each point's prefix mean d over its k nearest distances.
 
-        Column j holds d_1 + ... + d_(j+1), so a point's mean distance to its k
-        nearest neighbors is column k - 1 divided by k.
+        d is ((d_1 + d_2) + ...) + d_k, added left to right, divided by k. A
+        cloud of at most k points has fewer than k neighbors: TooFewPointsError.
         """
-        self.knn_dists(k)
-        if k > len(self._sums):
-            self._sums = _read_only(np.cumsum(self._dists, axis=0))
-        return self._sums[:k].T
+        if self.count < k + 1:
+            raise TooFewPointsError(f"need at least {k + 1} points, have {self.count}")
+        if k not in self._means:
+            rows = self.knn_dists(k).T
+            d = rows[0].copy()
+            for row in rows[1:]:
+                d += row
+            d /= k
+            self._means[k] = _read_only(d), d.mean(), d.std()
+        return self._means[k]
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -242,16 +249,16 @@ class CloudStack:
     """Clouds' rows end to end, so one params' keep-mask over all of them is a few array ops.
 
     It holds each non-empty cloud's index (the cloud's own, ``cloud.index``, or
-    the one given for it), the clouds' sizes and the rows' ranges, and reads
-    each cloud's kNN table and running sums in place. On construction each
-    table (and, for SOR/DSOR params, its running sums) is made as wide as the
-    largest params count below its cloud's size, the widest that any of the
-    params can read there, so a count from outside the program builds no
-    table wider than its cloud. ``keep`` gathers only what its rule
-    reads, once per count, and keeps it for the stack's life: ROR/DROR's
-    column m - 1 of every table in ``columns`` (8 * sum(n) bytes per m), and
-    SOR/DSOR's d, column k - 1 of every running-sum table divided by k, with
-    each row's cloud mean and std of d in ``means`` (3 * 8 * sum(n) bytes per k).
+    the one given for it), the clouds' sizes and the rows' ranges. On
+    construction each cloud's table is made as wide as the largest params
+    count below its cloud's size, the widest that any of the params can read
+    there, so a count from outside the program builds no table wider than its
+    cloud; each SOR/DSOR params' prefix means are computed there too, on every
+    cloud of more than k points. ``keep`` gathers only what its rule reads,
+    once per count, and keeps it for the stack's life: ROR/DROR's column
+    m - 1 of every table in ``columns`` (8 * sum(n) bytes per m), and SOR/DSOR's
+    d of every cloud, with each row's cloud mean and std of d, in ``means``
+    (3 * 8 * sum(n) bytes per k).
     """
 
     def __init__(self, clouds, params, indexes=None):
@@ -261,11 +268,13 @@ class CloudStack:
         self.sizes = [cloud.count for cloud, _ in rows]
         self.ranges = _concat([cloud.ranges for cloud, _ in rows])
         counts = [_count(p) for p in params]
-        # SOR/DSOR read the running sums, built here too, so keep never builds a table.
-        build = (SpatialIndex.knn_sums if any(isinstance(p, (Sor, Dsor)) for p in params)
-                 else SpatialIndex.knn_dists)
+        ks = {p.k for p in params if isinstance(p, (Sor, Dsor))}
+        # Everything keep reads is built here, so keep computes nothing per cloud.
         for index, n in zip(self.indexes, self.sizes):
-            build(index, max((c for c in counts if c < n), default=0))
+            index.knn_dists(max((c for c in counts if c < n), default=0))
+            for k in ks:
+                if k < n:
+                    index.knn_means(k)
         self.columns = {}
         self.means = {}
 
@@ -276,40 +285,22 @@ class CloudStack:
             if m == 0:
                 return np.ones(len(self.ranges), dtype=bool)
             if m not in self.columns:
-                self.columns[m] = self._gather(SpatialIndex.knn_dists, m)
+                # A cloud of at most m points gets nan, never <= a bound (even inf): it keeps none.
+                self.columns[m] = _concat([index.knn_dists(m)[:, m - 1] if m < n
+                                           else np.full(n, np.nan)
+                                           for index, n in zip(self.indexes, self.sizes)])
             return self.columns[m] <= params.bound(self.ranges)
         d, mean, std = self._means(m)
         return d <= params.bound(self.ranges, mean, std)
 
-    def _gather(self, table, m: int) -> np.ndarray:
-        """Column m - 1 of each cloud's ``table(index, m)``, end to end.
-
-        A cloud of at most m points gets nan, never <= a bound (even inf): it keeps none.
-        """
-        return _concat([table(index, m)[:, m - 1] if m < n else np.full(n, np.nan)
-                        for index, n in zip(self.indexes, self.sizes)])
-
     def _means(self, k: int):
         """Each row's mean distance d to its k nearest, and its cloud's mean and std of d."""
-        too_few = [n for n in self.sizes if n < k + 1]
-        if too_few:
-            raise TooFewPointsError(f"need at least {k + 1} points, have {too_few[0]}")
         if k not in self.means:
-            d = self._gather(SpatialIndex.knn_sums, k) / k
-            # d.mean() and d.std() per cloud, bit for bit: numpy's own steps, a pairwise
-            # np.add.reduce over each cloud's slice and elementwise operations after it.
-            sizes = np.array(self.sizes, dtype=np.intp)
-            mean = np.repeat(self._cloud_sums(d) / sizes, sizes)
-            dev = d - mean
-            dev *= dev
-            std = np.repeat(np.sqrt(self._cloud_sums(dev) / sizes), sizes)
-            self.means[k] = d, mean, std
+            stats = [index.knn_means(k) for index in self.indexes]
+            self.means[k] = (_concat([d for d, _, _ in stats]),
+                             np.repeat([mean for _, mean, _ in stats], self.sizes),
+                             np.repeat([std for _, _, std in stats], self.sizes))
         return self.means[k]
-
-    def _cloud_sums(self, rows: np.ndarray) -> np.ndarray:
-        ends = np.cumsum(self.sizes)
-        return np.array([np.add.reduce(rows[end - n:end]) for n, end in zip(self.sizes, ends)],
-                        dtype=float)
 
 
 def apply_filter(cloud: PointCloud, params: FilterParams,

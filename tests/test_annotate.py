@@ -255,6 +255,23 @@ def test_transfer_equals_brute_force_on_ties(decimals):
                                       brute_force_transfer(src, labels, dst).labels)
 
 
+def test_transfer_equals_brute_force_far_off_a_ring_sampled_plane():
+    """Rain-like destinations in the air over a scan-like source (rings on a plane), the case
+    where the transfer's kd-tree layout matters, plus points on the plane and on the rings."""
+    rng = np.random.default_rng(12)
+    radius, angle = np.meshgrid(np.linspace(2.0, 12.0, 24), np.linspace(0, 2 * np.pi, 90,
+                                                                        endpoint=False))
+    src = PointCloud(np.column_stack([(radius * np.cos(angle)).ravel(),
+                                      (radius * np.sin(angle)).ravel(),
+                                      np.zeros(radius.size)]), np.full(radius.size, 0.5))
+    labels = LabelSet(rng.integers(0, 8, src.count))
+    air = rng.uniform([-12, -12, 0.3], [12, 12, 4.0], (1500, 3))
+    ground = np.column_stack([rng.uniform(-12, 12, (300, 2)), np.zeros(300)])
+    dst = PointCloud(np.vstack([air, ground, src.coords[::17]]), np.full(1500 + 300 + 128, 0.5))
+    np.testing.assert_array_equal(transfer_labels(src, labels, dst).labels,
+                                  brute_force_transfer(src, labels, dst).labels)
+
+
 def test_transfer_single_source_point_and_empty_destination():
     src = PointCloud([[1.0, 2.0, 3.0]], [0.5])
     dst = PointCloud(np.random.default_rng(3).normal(size=(40, 3)), np.full(40, 0.5))

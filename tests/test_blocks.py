@@ -1,6 +1,6 @@
 """Block sizes change no bit: the kd-tree table build (``filters.KNN_BLOCK`` points per
 query) and the exhaustive oracles (``filters.ORACLE_BLOCK`` pairs per block) give the same
-tables, running sums, masks, tuning results and transferred labels whether a block is one
+tables, prefix means, masks, tuning results and transferred labels whether a block is one
 point, seven points, every point or the default."""
 import numpy as np
 import pytest
@@ -42,7 +42,11 @@ def fresh(cloud):
 def tables(cloud):
     index = SpatialIndex(cloud)
     out = [index.knn_dists(k).copy() for k in (3, 31)]
-    return out + [index.knn_sums(k).copy() for k in (12, 31)] + [index.knn_dists(20).copy()]
+    for k in (12, 31):
+        if k < cloud.count:
+            d, mean, std = index.knn_means(k)
+            out += [d.copy(), np.array([mean, std])]
+    return out + [index.knn_dists(20).copy()]
 
 
 def masks(cloud):

@@ -131,21 +131,28 @@ def test_knn_table_equals_pairwise_difference_recompute():
             np.testing.assert_array_equal(SpatialIndex(cloud).knn_dists(k), expected)
 
 
-def test_knn_sums_add_each_row_left_to_right():
-    """Column j of the sums is ((d_1 + d_2) + ...) + d_(j+1), in any order k is asked for;
-    below 8 terms that is numpy's own row sum, so d is the row's mean bit for bit."""
+def test_prefix_means_add_each_row_left_to_right():
+    """d for k is (((d_1 + d_2) + ...) + d_k) / k, in any order k is asked for; below 8 terms
+    that is numpy's own row sum, so d is the row's mean bit for bit. The cloud's statistics
+    are numpy's d.mean() and d.std(), and a cloud of at most k points has no d."""
     ks = range(1, 31)
     for cloud in table_clouds():
         table = SpatialIndex(cloud).knn_dists(30)
-        expected = np.array([list(itertools.accumulate(row)) for row in table.tolist()])
+        sums = np.array([list(itertools.accumulate(row)) for row in table.tolist()])
         for order in (ks, reversed(ks)):
             index = SpatialIndex(cloud)
             for k in order:
-                sums = index.knn_sums(k)
-                np.testing.assert_array_equal(sums, expected[:, :k])
+                if cloud.count <= k:
+                    with pytest.raises(TooFewPointsError):
+                        index.knn_means(k)
+                    continue
+                d, mean, std = index.knn_means(k)
+                np.testing.assert_array_equal(d, sums[:, k - 1] / k)
+                np.testing.assert_array_equal([mean, std], [d.mean(), d.std()])
                 if k <= 7:
-                    np.testing.assert_array_equal(sums[:, -1], np.add.reduce(table[:, :k], axis=1))
-                    np.testing.assert_array_equal(sums[:, -1] / k, table[:, :k].mean(axis=1))
+                    np.testing.assert_array_equal(sums[:, k - 1],
+                                                  np.add.reduce(table[:, :k], axis=1))
+                    np.testing.assert_array_equal(d, table[:, :k].mean(axis=1))
 
 
 def test_stack_mean_and_std_are_numpys_per_cloud():
@@ -166,16 +173,16 @@ def test_stack_mean_and_std_are_numpys_per_cloud():
 
 
 def test_one_cloud_stack_leaves_index_tables_unchanged():
-    """A one-cloud stack gathers views of its index's tables, which are read-only."""
+    """A one-cloud stack gathers views of its index's arrays, which are read-only."""
     cloud = random_cloud(200, 30)
-    table, sums = cloud.index.knn_dists(12).copy(), cloud.index.knn_sums(12).copy()
+    table, d = cloud.index.knn_dists(12).copy(), cloud.index.knn_means(12)[0].copy()
     stack = CloudStack([cloud], [Sor(12, 1.0)])
     for params in (Sor(5, 1.0), Dsor(12, 0.5, 0.1), Ror(1.0, 3), Dror(0.01, 3.0, 4, 0.04)):
         np.testing.assert_array_equal(stack.keep(params), brute_force_mask(cloud, params))
     np.testing.assert_array_equal(cloud.index.knn_dists(12), table)
-    np.testing.assert_array_equal(cloud.index.knn_sums(12), sums)
-    for gathered in (stack._gather(SpatialIndex.knn_sums, 5), stack.columns[3],
-                     cloud.index.knn_dists(12), cloud.index.knn_sums(12)):
+    np.testing.assert_array_equal(cloud.index.knn_means(12)[0], d)
+    for gathered in (stack._means(5)[0], stack.columns[3],
+                     cloud.index.knn_dists(12), cloud.index.knn_means(12)[0]):
         with pytest.raises(ValueError, match="read-only"):
             gathered /= 5
 

@@ -1,12 +1,13 @@
 """Memory gates: the exhaustive oracles and the kNN table build allocate a few blocks, not
-n x n x 3 temporaries or n x k x 3 recomputes (``tracemalloc`` sees numpy's buffers)."""
+n x n x 3 temporaries or n x k x 3 recomputes, and a SOR/DSOR filter holds one table, not a
+second k x n table of sums (``tracemalloc`` sees numpy's buffers)."""
 import tracemalloc
 
 import numpy as np
 
 from derainkit import LabelSet, PointCloud
 from derainkit.annotate import brute_force_transfer
-from derainkit.filters import Dsor, Ror, SpatialIndex, brute_force_mask
+from derainkit.filters import Dsor, Ror, SpatialIndex, apply_filter, brute_force_mask
 
 MB = 1 << 20
 
@@ -50,3 +51,12 @@ def test_knn_table_build_allocates_the_table_and_at_most_16_mb_more():
     table, peak = peak_of(lambda: index.knn_dists(31))
     assert table.shape == (50_000, 31)
     assert peak <= table.nbytes + 16 * MB, f"{(peak - table.nbytes) / MB:.1f} MB over the table"
+
+
+def test_dsor_filter_allocates_the_table_and_at_most_8_mb_more():
+    import scipy.spatial  # noqa: F401  imported before the count starts, so it is not counted
+    cloud = random_cloud(50_000, 5)
+    keep, peak = peak_of(lambda: apply_filter(cloud, Dsor(30, 1.0, 0.05)))
+    table = 30 * 50_000 * 8
+    assert keep.shape == (50_000,)
+    assert peak <= table + 8 * MB, f"{(peak - table) / MB:.1f} MB over the table"
