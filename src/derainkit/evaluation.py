@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import RAIN, ConfusionCounts, LabelSet, check_seed, is_integer
-from .errors import EmptyDatasetError, EmptySearchSpaceError
+from .errors import EmptyDatasetError, EmptySearchSpaceError, InvalidInputError
 from .filters import DEFAULT_PARAMS, KINDS, CloudStack, FilterParams  # DEFAULT_PARAMS re-exported
 
 
@@ -26,6 +26,13 @@ class MetricReport:
     f1: float
     rain_iou: float
     wall_time_ms: float | None = None
+
+    def __post_init__(self):
+        # NaN fails every comparison, so it fails both checks.
+        if not all(0 <= f <= 1 for f in (self.precision, self.recall, self.f1, self.rain_iou)):
+            raise InvalidInputError("precision, recall, f1 and rain_iou must be in [0, 1]")
+        if not (self.wall_time_ms is None or 0 <= self.wall_time_ms < np.inf):
+            raise InvalidInputError("wall_time_ms must be None, or finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -90,8 +97,8 @@ def benchmark_run(dataset, filters) -> list[BenchmarkRow]:
     group over all its rows, on a ``CloudStack`` of its own built before the
     clock starts; wall_time_ms is that run's time divided by the group's cloud
     count, the mean filter time per cloud on a built table. The run includes
-    gathering the column or prefix means its rule reads, so a filter's time
-    does not depend on the filters before it.
+    gathering the statistic its rule reads, so a filter's time does not
+    depend on the filters before it.
     Row order: filters in given order, densities in first-seen order.
     """
     dataset, filters = list(dataset), list(filters)
@@ -147,9 +154,8 @@ def tune_filter(
     earliest trial. n_samples and n_trials are integers >= 1; fully determined
     by seed, which ``check_seed`` checks. The sampled clouds are stacked
     once (``CloudStack``, which reads each cloud's kNN table in place and
-    keeps, for this call, one column per ROR/DROR count and the prefix means
-    per SOR/DSOR k that the trials read), so each trial is a few array
-    operations over all their points and one pooled count.
+    keeps, for this call, each (rule, count) statistic the trials read), so
+    each trial is one comparison over all their points and one pooled count.
     """
     dataset = list(dataset)
     if not dataset:

@@ -272,14 +272,8 @@ def read_results_csv(text: str) -> list[BenchmarkRow]:
         if len(parts) != len(RESULTS_COLUMNS):
             raise SchemaError(f"/row/{i}", "wrong column count")
         try:
-            report = MetricReport(
-                precision=float(parts[2]) / 100.0,
-                recall=float(parts[3]) / 100.0,
-                f1=float(parts[4]) / 100.0,
-                rain_iou=float(parts[5]) / 100.0,
-                wall_time_ms=float(parts[6]),
-            )
-        except ValueError as exc:
-            raise SchemaError(f"/row/{i}", "non-numeric metric") from exc
+            report = MetricReport(*(float(p) / 100.0 for p in parts[2:6]), float(parts[6]))
+        except ValueError as exc:  # a cell that is not a number, or a metric MetricReport rejects
+            raise SchemaError(f"/row/{i}", str(exc)) from exc
         rows.append(BenchmarkRow(parts[0], parts[1], report))
     return rows

@@ -7,10 +7,11 @@ threshold boundary count as "within" (keep side), and SOR/DSOR use the
 population standard deviation.
 
 All four filters read one table per cloud: each point's sorted distances to
-its nearest neighbors. ROR/DROR use the order statistic: a point has at least
-m neighbors within r exactly when its m-th nearest-neighbor distance is <= r,
-so they compare one column of the table with the radius (m = 0 keeps every
-point). SOR/DSOR read a point's prefix mean d for count k: the sum of its k
+its nearest neighbors. ROR/DROR's "order" rule: a point has at least m
+neighbors within r exactly when its m-th nearest distance is <= r, so they
+compare one column of the table with the radius (for m = 0 the column is
+zeros, within every radius: every point is kept). SOR/DSOR's "mean" rule
+reads a point's prefix mean d for count k: the sum of its k
 nearest distances added left to right, divided by k, which is numpy's mean of
 the row for k <= 7 (numpy adds fewer than 8 terms left to right and more
 pairwise). The table holds the kd-tree query's own distances, which equal the
@@ -23,17 +24,16 @@ never read: a cloud of at most m points gets nan for the column and keeps
 none, so a radius that overflows to inf (DROR's beta * alpha * range) still
 counts only real neighbors.
 
-Each params class describes its kind once: its fields, ``count`` (the field
-setting how many table columns it reads), ``space`` (its tuning search space)
-and ``bound(ranges, mean, std)`` (the radius or threshold of its rule, given
-each point's range and, for SOR/DSOR, the mean and population std of the
-prefix means d over the point's cloud; arrays or scalars that broadcast).
-Everything else derives from them.
+Each params class describes its kind once: its fields, ``rule``, ``count``
+(the field setting how many table columns it reads), ``space`` (its tuning
+search space) and ``bound(ranges, mean, std)`` (the radius or threshold of
+its rule, given each point's range and, for the mean rule, the mean and
+population std of the prefix means d over the point's cloud; arrays or
+scalars that broadcast). Everything else derives from them.
 
-``CloudStack`` evaluates these rules over several clouds at once. It gathers,
-once per count, only what a rule reads from each cloud's index (one table
-column, or the prefix means and their cloud statistics), so one params'
-keep-mask is a few array operations over all rows.
+``CloudStack`` evaluates these rules over several clouds at once. It gathers
+each row's statistic once per rule and count (a table column, or the prefix
+means), so one params' keep-mask is one comparison over all rows.
 ``apply_filter`` is its one-cloud case.
 """
 from __future__ import annotations
@@ -65,6 +65,7 @@ def _check_count(params, least: int) -> None:
 class Ror:
     """Radius outlier removal: keep points with >= min_neighbors within radius."""
 
+    rule: ClassVar[str] = "order"
     count: ClassVar[str] = "min_neighbors"
     space: ClassVar[dict] = {"radius": ("log", 0.05, 2.0), "min_neighbors": ("int", 1, 20)}
 
@@ -84,6 +85,7 @@ class Ror:
 class Sor:
     """Statistical outlier removal: keep d_i <= mean + s * std of kNN mean distances."""
 
+    rule: ClassVar[str] = "mean"
     count: ClassVar[str] = "k"
     space: ClassVar[dict] = {"k": ("int", 2, 30), "s": ("lin", 0.0, 3.0)}
 
@@ -103,6 +105,7 @@ class Sor:
 class Dror:
     """Dynamic ROR: search radius max(sr_min, beta * alpha * range_i)."""
 
+    rule: ClassVar[str] = "order"
     count: ClassVar[str] = "k_min"
     space: ClassVar[dict] = {
         "alpha": ("log", 1e-3, 0.1),
@@ -134,6 +137,7 @@ class Dror:
 class Dsor:
     """Dynamic SOR: per-point threshold (mean + s * std) * r * range_i."""
 
+    rule: ClassVar[str] = "mean"
     count: ClassVar[str] = "k"
     space: ClassVar[dict] = {"k": ("int", 2, 30), "s": ("lin", 0.0, 2.0), "r": ("log", 0.01, 1.0)}
 
@@ -209,17 +213,17 @@ class SpatialIndex:
     def knn_means(self, k: int):
         """(d, d.mean(), d.std()): each point's prefix mean d over its k nearest distances.
 
-        d is ((d_1 + d_2) + ...) + d_k, added left to right, divided by k. A
-        cloud of at most k points has fewer than k neighbors: TooFewPointsError.
+        d is ((d_1 + d_2) + ...) + d_k, added left to right, divided by k; a k
+        below 1 is an InvalidInputError. A cloud of at most k points has fewer
+        than k neighbors: TooFewPointsError.
         """
+        if k < 1:
+            raise InvalidInputError("k must be >= 1")
         if self.count < k + 1:
             raise TooFewPointsError(f"need at least {k + 1} points, have {self.count}")
         if k not in self._means:
-            rows = self.knn_dists(k).T
-            d = rows[0].copy()
-            for row in rows[1:]:
-                d += row
-            d /= k
+            # n > k >= 1, so numpy adds the C-contiguous k x n table row by row, left to right.
+            d = self.knn_dists(k).T.mean(axis=0)
             self._means[k] = _read_only(d), d.mean(), d.std()
         return self._means[k]
 
@@ -233,11 +237,11 @@ def build_index(cloud: PointCloud) -> SpatialIndex:
     return SpatialIndex(cloud)
 
 
-def _count(params: FilterParams) -> int:
-    """How many table columns the params' rule reads; unknown params are an error."""
+def _key(params: FilterParams) -> tuple[str, int]:
+    """The params' rule and how many table columns it reads; unknown params are an error."""
     if not isinstance(params, tuple(KINDS.values())):
         raise InvalidInputError(f"unknown filter params {type(params).__name__}")
-    return getattr(params, params.count)
+    return params.rule, getattr(params, params.count)
 
 
 def _concat(parts) -> np.ndarray:
@@ -253,12 +257,12 @@ class CloudStack:
     construction each cloud's table is made as wide as the largest params
     count below its cloud's size, the widest that any of the params can read
     there, so a count from outside the program builds no table wider than its
-    cloud; each SOR/DSOR params' prefix means are computed there too, on every
-    cloud of more than k points. ``keep`` gathers only what its rule reads,
-    once per count, and keeps it for the stack's life: ROR/DROR's column
-    m - 1 of every table in ``columns`` (8 * sum(n) bytes per m), and SOR/DSOR's
-    d of every cloud, with each row's cloud mean and std of d, in ``means``
-    (3 * 8 * sum(n) bytes per k).
+    cloud; each mean-rule params' prefix means are computed there too, on every
+    cloud of more than k points. ``keep`` gathers once per (rule, count) and
+    keeps for the stack's life ``stats[(rule, m)] = (statistic, mean, std)``:
+    the order rule's column m - 1 of every table, None, None (8 * sum(n) bytes
+    per m); the mean rule's d of every cloud, with each row's cloud mean and
+    std of d (3 * 8 * sum(n) bytes per k).
     """
 
     def __init__(self, clouds, params, indexes=None):
@@ -267,40 +271,34 @@ class CloudStack:
         self.indexes = [index or cloud.index for cloud, index in rows]
         self.sizes = [cloud.count for cloud, _ in rows]
         self.ranges = _concat([cloud.ranges for cloud, _ in rows])
-        counts = [_count(p) for p in params]
-        ks = {p.k for p in params if isinstance(p, (Sor, Dsor))}
+        keys = {_key(p) for p in params}
         # Everything keep reads is built here, so keep computes nothing per cloud.
         for index, n in zip(self.indexes, self.sizes):
-            index.knn_dists(max((c for c in counts if c < n), default=0))
-            for k in ks:
-                if k < n:
-                    index.knn_means(k)
-        self.columns = {}
-        self.means = {}
+            index.knn_dists(max((m for _, m in keys if m < n), default=0))
+            for rule, m in keys:
+                if rule == "mean" and m < n:
+                    index.knn_means(m)
+        self.stats = {}
 
     def keep(self, params: FilterParams) -> np.ndarray:
-        """Keep-mask over all rows: ROR/DROR's order statistic, SOR/DSOR's prefix mean."""
-        m = _count(params)
-        if isinstance(params, (Ror, Dror)):
-            if m == 0:
-                return np.ones(len(self.ranges), dtype=bool)
-            if m not in self.columns:
-                # A cloud of at most m points gets nan, never <= a bound (even inf): it keeps none.
-                self.columns[m] = _concat([index.knn_dists(m)[:, m - 1] if m < n
-                                           else np.full(n, np.nan)
-                                           for index, n in zip(self.indexes, self.sizes)])
-            return self.columns[m] <= params.bound(self.ranges)
-        d, mean, std = self._means(m)
-        return d <= params.bound(self.ranges, mean, std)
+        """Keep-mask over all rows: each row's statistic for the params' rule within its bound."""
+        key = _key(params)
+        if key not in self.stats:
+            self.stats[key] = self._gather(*key)
+        statistic, mean, std = self.stats[key]
+        return statistic <= params.bound(self.ranges, mean, std)
 
-    def _means(self, k: int):
-        """Each row's mean distance d to its k nearest, and its cloud's mean and std of d."""
-        if k not in self.means:
-            stats = [index.knn_means(k) for index in self.indexes]
-            self.means[k] = (_concat([d for d, _, _ in stats]),
-                             np.repeat([mean for _, mean, _ in stats], self.sizes),
-                             np.repeat([std for _, _, std in stats], self.sizes))
-        return self.means[k]
+    def _gather(self, rule: str, m: int):
+        """The rule's (statistic, mean, std) over all rows for count m."""
+        if rule == "mean":
+            stats = [index.knn_means(m) for index in self.indexes]
+            d, mean, std = zip(*stats) if stats else ((), (), ())
+            return _concat(d), np.repeat(mean, self.sizes), np.repeat(std, self.sizes)
+        # m = 0 reads zeros, within every order-rule bound: every row is kept. A cloud of
+        # at most m points gets nan, never <= a bound (even inf): it keeps none.
+        return _concat([np.zeros(n) if m == 0 else
+                        index.knn_dists(m)[:, m - 1] if m < n else np.full(n, np.nan)
+                        for index, n in zip(self.indexes, self.sizes)]), None, None
 
 
 def apply_filter(cloud: PointCloud, params: FilterParams,
@@ -341,8 +339,8 @@ def brute_force_mask(cloud: PointCloud, params: FilterParams) -> np.ndarray:
     n = cloud.count
     if n == 0:
         return np.zeros(0, dtype=bool)
-    m = getattr(params, params.count)
-    radius = isinstance(params, (Ror, Dror))
+    rule, m = _key(params)
+    radius = rule == "order"
     if radius:
         bound = np.broadcast_to(np.reshape(params.bound(cloud.ranges), (-1, 1)), (n, 1))
     elif n < m + 1:

@@ -31,6 +31,7 @@ from .core import (
     LabelSet,
     SensorCalibration,
     check_seed,
+    is_integer,
     store_fields,
 )
 from .errors import DegeneratePolygonError, InvalidSpecError, UnknownSceneError
@@ -54,7 +55,7 @@ class OrientedBox:
             raise InvalidSpecError("box center, half extents and yaw must be finite")
         if not min(half) > 0:
             raise InvalidSpecError("box half extents must be positive")
-        if not (isinstance(self.class_id, (int, np.integer)) and 0 <= self.class_id < NUM_CLASSES):
+        if not (is_integer(self.class_id) and 0 <= self.class_id < NUM_CLASSES):
             raise InvalidSpecError(f"box class_id must be an integer in [0, {NUM_CLASSES})")
         if not 0 <= self.reflectance <= 1:
             raise InvalidSpecError("box reflectance must be in [0, 1]")
@@ -130,7 +131,7 @@ def _polygon_is_simple(poly: np.ndarray) -> bool:
     for i in range(n):
         a1, a2 = poly[i], poly[(i + 1) % n]
         for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
+            if (j + 1) % n == i or (i + 1) % n == j:
                 continue
             if _segments_intersect(a1, a2, poly[j], poly[(j + 1) % n]):
                 return False

@@ -128,19 +128,19 @@ def test_benchmark_empty_dataset():
 
 
 def test_benchmark_times_each_filter_from_scratch(monkeypatch):
-    """A filter's timed run reuses no column or per-k statistics that an earlier filter left."""
+    """A filter's timed run reuses no statistics that an earlier filter gathered."""
     cached = []
     keep = filters.CloudStack.keep
 
     def spying_keep(stack, params):
-        cached.append((len(stack.columns), len(stack.means)))
+        cached.append(len(stack.stats))
         return keep(stack, params)
 
     monkeypatch.setattr(filters.CloudStack, "keep", spying_keep)
     benchmark_run(rain_dataset(2, seed=7), [
         ("ror", Ror(0.5, 5)), ("dror", Dror(0.01, 3.0, 5, 0.04)),
         ("sor", Sor(5, 1.0)), ("dsor", Dsor(5, 1.0, 0.05))])
-    assert cached == [(0, 0)] * 4
+    assert cached == [0] * 4
 
 
 def test_counts_past_cloud_sizes(knn_widths):

@@ -364,6 +364,25 @@ def test_results_csv_rejects_cells_it_cannot_read_back():
     assert [r.filter_name for r in fileio.read_results_csv(text)] == ["d sor;1"]
 
 
+@pytest.mark.parametrize("cells", [
+    "nan,50.00,50.00,50.00,1", "-5.00,50.00,50.00,50.00,1", "50.00,inf,50.00,50.00,1",
+    "50.00,50.00,100.01,50.00,1", "50.00,50.00,-0.01,50.00,1", "50.00,50.00,50.00,900,1",
+    "50.00,50.00,50.00,nan,1", "50.00,50.00,50.00,50.00,-1", "50.00,50.00,50.00,50.00,inf",
+    "50.00,50.00,50.00,50.00,nan",
+])
+def test_results_csv_rejects_metrics_out_of_range(cells):
+    """Fractions outside [0, 100] %, NaN, and a negative or non-finite time are schema errors
+    at their row; the writer never writes them."""
+    header = ",".join(fileio.RESULTS_COLUMNS)
+    text = f"{header}\ndsor,heavy,50.00,50.00,50.00,33.33,1\ndsor,heavy,{cells}\n"
+    with pytest.raises(SchemaError) as err:
+        fileio.read_results_csv(text)
+    assert err.value.path == "/row/1"
+    *percents, time_ms = map(float, cells.split(","))
+    with pytest.raises(InvalidInputError):
+        MetricReport(*(p / 100 for p in percents), wall_time_ms=time_ms)
+
+
 def test_results_csv_bad_header():
     with pytest.raises(SchemaError):
         fileio.read_results_csv("bogus,header\n")

@@ -155,6 +155,13 @@ def test_prefix_means_add_each_row_left_to_right():
                     np.testing.assert_array_equal(d, table[:, :k].mean(axis=1))
 
 
+def test_prefix_means_need_a_count_of_at_least_one():
+    """k = 0 has no prefix mean: the index raises rather than dividing an empty sum by 0."""
+    for k in (0, -1):
+        with pytest.raises(InvalidInputError, match="k must be >= 1"):
+            random_cloud(20, 3).index.knn_means(k)
+
+
 def test_stack_mean_and_std_are_numpys_per_cloud():
     """Around numpy's pairwise-sum blocks (8 and 128 terms) and for one cloud, each cloud's
     mean and std of d are its d.mean() and d.std() bit for bit."""
@@ -164,7 +171,9 @@ def test_stack_mean_and_std_are_numpys_per_cloud():
                  for _ in range(1 if case < 10 else int(rng.integers(2, 7)))]
         clouds = [random_cloud(n, 100 * case + i) for i, n in enumerate(sizes)]
         k = int(rng.integers(1, min(sizes)))
-        d, mean, std = CloudStack(clouds, [Sor(k, 1.0)])._means(k)
+        stack = CloudStack(clouds, [Sor(k, 1.0)])
+        stack.keep(Sor(k, 1.0))
+        d, mean, std = stack.stats[("mean", k)]
         ends = np.cumsum(sizes)
         for n, end in zip(sizes, ends):
             cloud_d = d[end - n:end].copy()
@@ -181,7 +190,7 @@ def test_one_cloud_stack_leaves_index_tables_unchanged():
         np.testing.assert_array_equal(stack.keep(params), brute_force_mask(cloud, params))
     np.testing.assert_array_equal(cloud.index.knn_dists(12), table)
     np.testing.assert_array_equal(cloud.index.knn_means(12)[0], d)
-    for gathered in (stack._means(5)[0], stack.columns[3],
+    for gathered in (stack.stats[("mean", 5)][0], stack.stats[("order", 3)][0],
                      cloud.index.knn_dists(12), cloud.index.knn_means(12)[0]):
         with pytest.raises(ValueError, match="read-only"):
             gathered /= 5
@@ -307,16 +316,17 @@ def test_sor_too_few_points(knn_widths):
 def test_stack_keeps_counts_wider_than_it_was_built_for():
     """keep reads a count past the stack's params from a wider table; it holds no n x k array."""
     clouds = [random_cloud(n, seed) for n, seed in ((60, 20), (90, 21), (5, 22))]
-    stack = CloudStack(clouds, [Ror(1.0, 2)])
+    order = CloudStack(clouds, [Ror(1.0, 2)])
     for params in (Ror(2.0, 12), Dror(0.02, 3.0, 30, 0.5), Ror(2.0, 2)):
         np.testing.assert_array_equal(
-            stack.keep(params), np.concatenate([brute_force_mask(c, params) for c in clouds]))
-    stack = CloudStack(clouds[:2], [Sor(2, 1.0)])
+            order.keep(params), np.concatenate([brute_force_mask(c, params) for c in clouds]))
+    mean = CloudStack(clouds[:2], [Sor(2, 1.0)])
     for params in (Sor(9, 1.0), Dsor(40, 0.5, 0.3)):
         np.testing.assert_array_equal(
-            stack.keep(params), np.concatenate([brute_force_mask(c, params) for c in clouds[:2]]))
-    arrays = [stack.ranges, *stack.columns.values(), *(a for v in stack.means.values() for a in v)]
-    assert all(a.ndim == 1 for a in arrays)
+            mean.keep(params), np.concatenate([brute_force_mask(c, params) for c in clouds[:2]]))
+    arrays = [a for stack in (order, mean) for v in stack.stats.values() for a in v
+              if a is not None]
+    assert len(arrays) == 3 + 2 * 3 and all(a.ndim == 1 for a in [mean.ranges, *arrays])
 
 
 def test_sor_large_s_keeps_all():

@@ -6,13 +6,14 @@ from derainkit import (
     PolarGridMap,
     SensorCalibration,
     flatten,
+    grid_calibration,
     nearest_angle_index,
     project_to_pgm,
     to_euclidean,
     to_polar,
 )
 from derainkit.core import empty_cloud
-from derainkit.errors import EmptyTableError, FieldError, OriginPointError
+from derainkit.errors import EmptyCalibrationError, EmptyTableError, FieldError, OriginPointError
 
 
 def small_calib(v=2, h=3, r_max=50.0):
@@ -78,6 +79,12 @@ def test_project_empty_cloud_all_unreturned():
     assert (grid.ranges == calib.r_max).all()
     assert (grid.intensity == 0).all()
     np.testing.assert_allclose(np.linalg.norm(grid.coords, axis=2), grid.ranges, rtol=1e-12)
+
+
+def test_project_onto_an_empty_calibration_raises():
+    for v, h in ((0, 4), (4, 0)):
+        with pytest.raises(EmptyCalibrationError):
+            project_to_pgm(empty_cloud(), grid_calibration(v, h))
 
 
 def test_project_grid_aligned_round_trip():

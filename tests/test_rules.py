@@ -165,6 +165,13 @@ def test_ransac_iterations_rejects_booleans():
             dk.ransac_plane(CLOUD, bad, 0.05)
 
 
+def test_box_class_id_rejects_booleans():
+    for bad in (True, False):
+        with pytest.raises(InvalidSpecError, match="class_id must be an integer"):
+            dk.OrientedBox((0.0, 0.0, 1.0), (1.0, 1.0, 1.0), 0.0, bad, 0.5)
+    assert dk.OrientedBox((0.0, 0.0, 1.0), (1.0, 1.0, 1.0), 0.0, np.int64(1), 0.5).class_id == 1
+
+
 @pytest.mark.parametrize("name", ["n_samples", "n_trials"])
 def test_tune_sample_and_trial_counts_reject_booleans(name):
     for bad in (True, False):
