@@ -50,6 +50,12 @@ CLASS_NAMES = {
 }
 
 
+def read_only(array: np.ndarray) -> np.ndarray:
+    """The array, made read-only in place: every stored array's one rule."""
+    array.flags.writeable = False
+    return array
+
+
 def store_fields(value, **checks) -> None:
     """Store each field of the frozen dataclass ``value`` as its metadata declares: a
     ``shape`` field as a read-only copy in that shape and its ``dtype`` (float64 by
@@ -82,8 +88,7 @@ def store_fields(value, **checks) -> None:
                     raise
                 except (TypeError, ValueError) as exc:
                     raise FieldError(f.name, exc) from exc
-                array.flags.writeable = False
-                object.__setattr__(value, f.name, array)
+                object.__setattr__(value, f.name, read_only(array))
 
 
 @dataclass(frozen=True)
@@ -110,13 +115,6 @@ class PointCloud:
     @property
     def count(self) -> int:
         return self.coords.shape[0]
-
-    @cached_property
-    def ranges(self) -> np.ndarray:
-        """Each point's distance from the sensor origin, computed on first use; read-only."""
-        ranges = np.linalg.norm(self.coords, axis=1)
-        ranges.flags.writeable = False
-        return ranges
 
     @cached_property
     def index(self):

@@ -57,11 +57,11 @@ def _tally(removed: np.ndarray, is_rain: np.ndarray) -> ConfusionCounts:
 
 
 def _stack(pairs, params) -> tuple[CloudStack, np.ndarray]:
-    """A CloudStack of the (cloud, labels) pairs' clouds for params, and their rain flags."""
+    """A CloudStack of the (cloud, labels) pairs' indexes for params, and their rain flags."""
     for cloud, labels in pairs:
         labels.check_count(cloud.count, "points")
     is_rain = np.concatenate([np.zeros(0, bool), *(labels.labels == RAIN for _, labels in pairs)])
-    return CloudStack([cloud for cloud, _ in pairs], params), is_rain
+    return CloudStack([cloud.index for cloud, _ in pairs], params), is_rain
 
 
 def _safe_div(num: float, den: float) -> float:
@@ -152,8 +152,8 @@ def tune_filter(
     Draws up to n_samples (cloud, labels) pairs without replacement, then
     evaluates n_trials independently sampled parameter vectors; ties keep the
     earliest trial. n_samples and n_trials are integers >= 1; fully determined
-    by seed, which ``check_seed`` checks. The sampled clouds are stacked
-    once (``CloudStack``, which reads each cloud's kNN table in place and
+    by seed, which ``check_seed`` checks. The sampled clouds' indexes are
+    stacked once (``CloudStack``, which reads each kNN table in place and
     keeps, for this call, each (rule, count) statistic the trials read), so
     each trial is one comparison over all their points and one pooled count.
     """

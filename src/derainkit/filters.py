@@ -31,10 +31,10 @@ its rule, given each point's range and, for the mean rule, the mean and
 population std of the prefix means d over the point's cloud; arrays or
 scalars that broadcast). Everything else derives from them.
 
-``CloudStack`` evaluates these rules over several clouds at once. It gathers
-each row's statistic once per rule and count (a table column, or the prefix
-means), so one params' keep-mask is one comparison over all rows.
-``apply_filter`` is its one-cloud case.
+``CloudStack`` evaluates these rules over the ``SpatialIndex``es it is handed,
+each its cloud's one holder of ranges and tables. It gathers each row's statistic
+once per rule and count (a table column, or the prefix means), so one params'
+keep-mask is one comparison over all rows. ``apply_filter`` is its one-cloud case.
 """
 from __future__ import annotations
 
@@ -44,7 +44,7 @@ from typing import ClassVar, Union
 
 import numpy as np
 
-from .core import PointCloud, is_integer
+from .core import PointCloud, is_integer, read_only
 from .errors import EmptyIndexError, InvalidInputError, TooFewPointsError, TooLargeError
 
 BRUTE_FORCE_LIMIT = 2000
@@ -168,8 +168,9 @@ KINDS = {name: type(p) for name, p in DEFAULT_PARAMS.items()}
 class SpatialIndex:
     """kd-tree over a cloud answering kNN distance tables and prefix means.
 
-    Query results match exhaustive search exactly; the query point itself is
-    excluded from the neighbor distances. The widest kNN distance table
+    The one holder of the cloud's filter state: ``coords``, ``count``, each
+    point's ``ranges`` and the tables. Query results match exhaustive search
+    exactly, the query point itself excluded. The widest kNN distance table
     computed so far (k_max x n float64, 8*n*k_max bytes) is cached
     column-major: row j holds every point's (j+1)-th nearest distance, so one
     column of the n x k table a query returns (its ``.T`` view) is contiguous,
@@ -180,13 +181,13 @@ class SpatialIndex:
     Each point's distances ascend and hold +inf past the cloud's n - 1
     neighbors. Each k's prefix means and their cloud mean and std are cached
     once asked for (8*n bytes per distinct k). The arrays are read-only.
-    Filters given no index use the cloud's own, ``cloud.index``.
     """
 
     def __init__(self, cloud: PointCloud):
         from scipy.spatial import cKDTree  # here, not at module level: it is slow to import
         self.coords = cloud.coords
         self.count = cloud.count
+        self.ranges = read_only(np.linalg.norm(cloud.coords, axis=1))
         self._tree = cKDTree(cloud.coords) if cloud.count else None
         self._dists = np.empty((0, self.count))
         self._means = {}
@@ -194,10 +195,13 @@ class SpatialIndex:
     def knn_dists(self, k: int) -> np.ndarray:
         """n x k distances to each point's k nearest neighbors (self excluded), rows ascending.
 
-        Columns past the cloud's n - 1 neighbors hold +inf. The distances are the
-        tree's own, which equal the oracle's ``sqrt((dx*dx + dy*dy) + dz*dz)`` bit
-        for bit; the tree's first neighbor of each point, itself at distance 0, is dropped.
+        k is an integer >= 0; columns past the cloud's n - 1 neighbors hold +inf.
+        The distances are the tree's own, which equal the oracle's
+        ``sqrt((dx*dx + dy*dy) + dz*dz)`` bit for bit; the tree's first neighbor of
+        each point, itself at distance 0, is dropped.
         """
+        if not (is_integer(k) and k >= 0):
+            raise InvalidInputError(f"k must be >= 0 and an integer, got {k!r}")
         if self._tree is None:
             raise EmptyIndexError("index over an empty cloud")
         if k > len(self._dists):
@@ -207,30 +211,25 @@ class SpatialIndex:
             for start in range(0, self.count, KNN_BLOCK):
                 block, _ = self._tree.query(self.coords[start:start + KNN_BLOCK], k=width)
                 dists[:width - 1, start:start + KNN_BLOCK] = block.reshape(-1, width)[:, 1:].T
-            self._dists = _read_only(dists)
+            self._dists = read_only(dists)
         return self._dists[:k].T
 
     def knn_means(self, k: int):
         """(d, d.mean(), d.std()): each point's prefix mean d over its k nearest distances.
 
         d is ((d_1 + d_2) + ...) + d_k, added left to right, divided by k; a k
-        below 1 is an InvalidInputError. A cloud of at most k points has fewer
-        than k neighbors: TooFewPointsError.
+        that is not an integer >= 1 is an InvalidInputError. A cloud of at most
+        k points has fewer than k neighbors: TooFewPointsError.
         """
-        if k < 1:
-            raise InvalidInputError("k must be >= 1")
+        if not (is_integer(k) and k >= 1):
+            raise InvalidInputError(f"k must be >= 1 and an integer, got {k!r}")
         if self.count < k + 1:
             raise TooFewPointsError(f"need at least {k + 1} points, have {self.count}")
         if k not in self._means:
             # n > k >= 1, so numpy adds the C-contiguous k x n table row by row, left to right.
             d = self.knn_dists(k).T.mean(axis=0)
-            self._means[k] = _read_only(d), d.mean(), d.std()
+            self._means[k] = read_only(d), d.mean(), d.std()
         return self._means[k]
-
-
-def _read_only(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
 
 
 def build_index(cloud: PointCloud) -> SpatialIndex:
@@ -250,27 +249,24 @@ def _concat(parts) -> np.ndarray:
 
 
 class CloudStack:
-    """Clouds' rows end to end, so one params' keep-mask over all of them is a few array ops.
+    """Indexes' rows end to end, so one params' keep-mask over all of them is a few array ops.
 
-    It holds each non-empty cloud's index (the cloud's own, ``cloud.index``, or
-    the one given for it), the clouds' sizes and the rows' ranges. On
-    construction each cloud's table is made as wide as the largest params
-    count below its cloud's size, the widest that any of the params can read
+    It holds the non-empty indexes it is handed, their sizes and the rows'
+    ranges. On construction each table is made as wide as the largest params
+    count below its index's size, the widest that any of the params can read
     there, so a count from outside the program builds no table wider than its
     cloud; each mean-rule params' prefix means are computed there too, on every
-    cloud of more than k points. ``keep`` gathers once per (rule, count) and
+    index of more than k points. ``keep`` gathers once per (rule, count) and
     keeps for the stack's life ``stats[(rule, m)] = (statistic, mean, std)``:
     the order rule's column m - 1 of every table, None, None (8 * sum(n) bytes
-    per m); the mean rule's d of every cloud, with each row's cloud mean and
+    per m); the mean rule's d of every index, with each row's cloud mean and
     std of d (3 * 8 * sum(n) bytes per k).
     """
 
-    def __init__(self, clouds, params, indexes=None):
-        clouds = list(clouds)
-        rows = [(c, i) for c, i in zip(clouds, indexes or [None] * len(clouds)) if c.count]
-        self.indexes = [index or cloud.index for cloud, index in rows]
-        self.sizes = [cloud.count for cloud, _ in rows]
-        self.ranges = _concat([cloud.ranges for cloud, _ in rows])
+    def __init__(self, indexes, params):
+        self.indexes = [index for index in indexes if index.count]
+        self.sizes = [index.count for index in self.indexes]
+        self.ranges = _concat([index.ranges for index in self.indexes])
         keys = {_key(p) for p in params}
         # Everything keep reads is built here, so keep computes nothing per cloud.
         for index, n in zip(self.indexes, self.sizes):
@@ -303,8 +299,12 @@ class CloudStack:
 
 def apply_filter(cloud: PointCloud, params: FilterParams,
                  index: SpatialIndex | None = None) -> np.ndarray:
-    """Keep-mask of the params' rule on one cloud: the one-cloud case of ``CloudStack``."""
-    return CloudStack([cloud], [params], [index]).keep(params)
+    """Keep-mask of the params' rule on one cloud: the one-cloud case of ``CloudStack``,
+    over ``cloud.index`` or a given index over the same points (else InvalidInputError)."""
+    if index is not None and not (index.coords is cloud.coords
+                                  or np.array_equal(index.coords, cloud.coords)):
+        raise InvalidInputError("index is not over the cloud's points")
+    return CloudStack([index or cloud.index], [params]).keep(params)
 
 
 def squared_distance_blocks(rows: np.ndarray, points: np.ndarray):
@@ -340,9 +340,10 @@ def brute_force_mask(cloud: PointCloud, params: FilterParams) -> np.ndarray:
     if n == 0:
         return np.zeros(0, dtype=bool)
     rule, m = _key(params)
+    ranges = np.linalg.norm(cloud.coords, axis=1)
     radius = rule == "order"
     if radius:
-        bound = np.broadcast_to(np.reshape(params.bound(cloud.ranges), (-1, 1)), (n, 1))
+        bound = np.broadcast_to(np.reshape(params.bound(ranges), (-1, 1)), (n, 1))
     elif n < m + 1:
         raise TooFewPointsError(f"need at least {m + 1} points, have {n}")
     # Per point: ROR/DROR's count of neighbors within the bound, SOR/DSOR's prefix mean d.
@@ -356,4 +357,4 @@ def brute_force_mask(cloud: PointCloud, params: FilterParams) -> np.ndarray:
                       else np.cumsum(np.sort(dist, axis=1)[:, :m], axis=1)[:, -1] / m)
     if radius:
         return stat >= m
-    return stat <= params.bound(cloud.ranges, stat.mean(), stat.std())
+    return stat <= params.bound(ranges, stat.mean(), stat.std())

@@ -32,6 +32,7 @@ from .core import (
     SensorCalibration,
     check_seed,
     is_integer,
+    read_only,
     store_fields,
 )
 from .errors import DegeneratePolygonError, InvalidSpecError, UnknownSceneError
@@ -92,8 +93,7 @@ class SceneSpec:
         # A normal of unit length within rounding is kept as it is, so normalizing a
         # normalized spec changes nothing and its JSON round trip is exact.
         if abs(norm - 1.0) > 1e-12:
-            normal = normal / norm
-            normal.flags.writeable = False
+            normal = read_only(normal / norm)
             object.__setattr__(self, "ground_normal", normal)
         if not normal[2] > 0:
             raise InvalidSpecError("ground normal must have positive z component")

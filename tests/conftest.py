@@ -1,10 +1,19 @@
-"""One hypothesis profile for the whole suite: derandomized, so every run draws
-the same examples, with no deadline and a bounded example count; and the
-``knn_widths`` fixture."""
+"""The checkout's ``src`` first on the import path, for this process and the Python
+processes tests start, so the suite runs from a bare checkout; one hypothesis
+profile for the whole suite: derandomized, so every run draws the same examples,
+with no deadline and a bounded example count; and the ``knn_widths`` fixture."""
+import os
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import settings
 
-from derainkit.filters import SpatialIndex
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+sys.path.insert(0, SRC)
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+
+from derainkit.filters import SpatialIndex  # noqa: E402  (needs SRC on the path)
 
 settings.register_profile("derainkit", derandomize=True, deadline=None, max_examples=60,
                           database=None)

@@ -159,12 +159,12 @@ def test_counts_past_cloud_sizes(knn_widths):
         PointCloud(rng.uniform(0, 2, (n, 3)), np.full(n, 0.5)) for n in (1, 4, 9)]
     for m in (0, 1, 3, 4, 8, 9, largest - 1, largest, 10**12):
         params = [Ror(0.6, m), Dror(0.01, 3.0, m, 0.04)]
-        stack = filters.CloudStack(clouds, params)
+        stack = filters.CloudStack([c.index for c in clouds], params)
         for p in params:
             np.testing.assert_array_equal(
                 stack.keep(p), np.concatenate([filters.apply_filter(c, p) for c in clouds]))
     with pytest.raises(TooFewPointsError):
-        filters.CloudStack(clouds, [Sor(4, 1.0)]).keep(Sor(4, 1.0))
+        filters.CloudStack([c.index for c in clouds], [Sor(4, 1.0)]).keep(Sor(4, 1.0))
     assert knn_widths and all(k < n for n, k in knn_widths)
 
 

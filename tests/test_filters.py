@@ -162,6 +162,20 @@ def test_prefix_means_need_a_count_of_at_least_one():
             random_cloud(20, 3).index.knn_means(k)
 
 
+@pytest.mark.parametrize("query, k, least", [
+    ("knn_dists", -1, 0), ("knn_dists", True, 0), ("knn_dists", 2.5, 0),
+    ("knn_dists", np.float64(3.0), 0), ("knn_means", True, 1), ("knn_means", 2.0, 1)])
+def test_index_counts_must_be_integers_it_can_answer(query, k, least):
+    """knn_dists takes an integer k >= 0 and knn_means one >= 1; a bool, a float or a
+    smaller k is an InvalidInputError, also after a wider table is cached."""
+    index = random_cloud(20, 3).index
+    assert index.knn_dists(5).shape == (20, 5) and index.knn_means(2)[0].shape == (20,)
+    with pytest.raises(InvalidInputError, match=f"k must be >= {least}"):
+        getattr(index, query)(k)
+    assert index.knn_dists(0).shape == (20, 0)
+    np.testing.assert_array_equal(index.knn_means(np.int64(2))[0], index.knn_means(2)[0])
+
+
 def test_stack_mean_and_std_are_numpys_per_cloud():
     """Around numpy's pairwise-sum blocks (8 and 128 terms) and for one cloud, each cloud's
     mean and std of d are its d.mean() and d.std() bit for bit."""
@@ -171,7 +185,7 @@ def test_stack_mean_and_std_are_numpys_per_cloud():
                  for _ in range(1 if case < 10 else int(rng.integers(2, 7)))]
         clouds = [random_cloud(n, 100 * case + i) for i, n in enumerate(sizes)]
         k = int(rng.integers(1, min(sizes)))
-        stack = CloudStack(clouds, [Sor(k, 1.0)])
+        stack = CloudStack([c.index for c in clouds], [Sor(k, 1.0)])
         stack.keep(Sor(k, 1.0))
         d, mean, std = stack.stats[("mean", k)]
         ends = np.cumsum(sizes)
@@ -185,7 +199,7 @@ def test_one_cloud_stack_leaves_index_tables_unchanged():
     """A one-cloud stack gathers views of its index's arrays, which are read-only."""
     cloud = random_cloud(200, 30)
     table, d = cloud.index.knn_dists(12).copy(), cloud.index.knn_means(12)[0].copy()
-    stack = CloudStack([cloud], [Sor(12, 1.0)])
+    stack = CloudStack([cloud.index], [Sor(12, 1.0)])
     for params in (Sor(5, 1.0), Dsor(12, 0.5, 0.1), Ror(1.0, 3), Dror(0.01, 3.0, 4, 0.04)):
         np.testing.assert_array_equal(stack.keep(params), brute_force_mask(cloud, params))
     np.testing.assert_array_equal(cloud.index.knn_dists(12), table)
@@ -194,6 +208,33 @@ def test_one_cloud_stack_leaves_index_tables_unchanged():
                      cloud.index.knn_dists(12), cloud.index.knn_means(12)[0]):
         with pytest.raises(ValueError, match="read-only"):
             gathered /= 5
+
+
+def test_stack_of_fresh_indexes_equals_apply_filter():
+    """A stack reads only the indexes it is handed: over fresh ``SpatialIndex``es it
+    gives the clouds' apply_filter masks end to end and builds no ``cloud.index``."""
+    clouds = [random_cloud(n, seed) for n, seed in ((60, 50), (0, 51), (90, 52), (5, 53))]
+    params = [Ror(1.0, 3), Sor(4, 1.0), Dror(0.02, 3.0, 6, 0.3), Dsor(4, 0.5, 0.3)]
+    stack = CloudStack([SpatialIndex(c) for c in clouds], params)
+    masks = [stack.keep(p) for p in params]
+    assert all("index" not in vars(c) for c in clouds)
+    for p, mask in zip(params, masks):
+        np.testing.assert_array_equal(mask, np.concatenate([apply_filter(c, p) for c in clouds]))
+
+
+@pytest.mark.parametrize("params", DEFAULT_PARAMS.values(), ids=DEFAULT_PARAMS.keys())
+def test_apply_filter_rejects_another_clouds_index(params):
+    """A given index must be over the cloud's points; one over an equal copy is accepted."""
+    cloud = random_cloud(20, 60)
+    for other in (random_cloud(30, 61), random_cloud(20, 62), random_cloud(0, 63)):
+        with pytest.raises(InvalidInputError, match="index is not over the cloud's points"):
+            apply_filter(cloud, params, build_index(other))
+    copy = PointCloud(cloud.coords.copy(), cloud.intensity)
+    assert copy.coords is not cloud.coords
+    np.testing.assert_array_equal(apply_filter(cloud, params, build_index(copy)),
+                                  apply_filter(cloud, params))
+    np.testing.assert_array_equal(apply_filter(cloud, params, build_index(cloud)),
+                                  brute_force_mask(cloud, params))
 
 
 @pytest.mark.parametrize("decimals", [None, 1])
@@ -316,11 +357,11 @@ def test_sor_too_few_points(knn_widths):
 def test_stack_keeps_counts_wider_than_it_was_built_for():
     """keep reads a count past the stack's params from a wider table; it holds no n x k array."""
     clouds = [random_cloud(n, seed) for n, seed in ((60, 20), (90, 21), (5, 22))]
-    order = CloudStack(clouds, [Ror(1.0, 2)])
+    order = CloudStack([c.index for c in clouds], [Ror(1.0, 2)])
     for params in (Ror(2.0, 12), Dror(0.02, 3.0, 30, 0.5), Ror(2.0, 2)):
         np.testing.assert_array_equal(
             order.keep(params), np.concatenate([brute_force_mask(c, params) for c in clouds]))
-    mean = CloudStack(clouds[:2], [Sor(2, 1.0)])
+    mean = CloudStack([c.index for c in clouds[:2]], [Sor(2, 1.0)])
     for params in (Sor(9, 1.0), Dsor(40, 0.5, 0.3)):
         np.testing.assert_array_equal(
             mean.keep(params), np.concatenate([brute_force_mask(c, params) for c in clouds[:2]]))
