@@ -28,7 +28,6 @@ from .pgm import PolarGridMap, flatten, nearest_angle_index, project_to_pgm, to_
 from .scene import OrientedBox, SceneSpec, builtin_scene, raycast_scene
 from .rainsim import (
     RainConfig,
-    RainDrop,
     expected_drop_concentration,
     inject_rain,
     intersect_beam,

@@ -166,19 +166,13 @@ def auto_annotate(
     plane = ransac_plane(cloud, ransac.iterations, ransac.inlier_threshold, ransac.seed)
     d = plane.signed_distance(cloud.coords)
 
-    labels = np.full(cloud.count, -1, dtype=np.int32)
-    for box in scene.sprinkler_boxes + scene.object_boxes:
-        unlabeled = labels < 0
-        inside = _in_box(cloud.coords, box)
-        labels[unlabeled & inside] = box.class_id
-
+    boxes = scene.sprinkler_boxes + scene.object_boxes
     in_road = points_in_polygon(cloud.coords[:, :2], scene.road_polygon)
-    unlabeled = labels < 0
-    labels[unlabeled & (d > plane_tolerance) & in_road] = RAIN
-    unlabeled = labels < 0
-    labels[unlabeled & (np.abs(d) <= plane_tolerance) & in_road] = ROAD
-    labels[labels < 0] = BACKGROUND
-    return LabelSet(labels)
+    # np.select gives each point the label of the first rule it meets, which is the
+    # precedence of the module docstring: one mask per rule, no relabelling pass.
+    rules = [_in_box(cloud.coords, box) for box in boxes]
+    rules += [(d > plane_tolerance) & in_road, (np.abs(d) <= plane_tolerance) & in_road]
+    return LabelSet(np.select(rules, [box.class_id for box in boxes] + [RAIN, ROAD], BACKGROUND))
 
 
 def _check_transfer(src_cloud: PointCloud, src_labels: LabelSet, dst_cloud: PointCloud) -> None:

@@ -118,13 +118,11 @@ def benchmark_run(dataset, filters) -> list[BenchmarkRow]:
     return rows
 
 
-# Search-space entries are (kind, low, high) with kind in {"lin", "log", "int"}.
-DEFAULT_SEARCH_SPACES = {kind: cls.space for kind, cls in KINDS.items()}
-
-
-def _sample_params(kind: str, space: dict, rng: np.random.Generator) -> FilterParams:
+def _sample_params(kind: str, rng: np.random.Generator) -> FilterParams:
+    """One params draw from ``KINDS[kind].space``, whose entries are name: (dist, low, high)
+    with dist in {"lin", "log", "int"}; one rng call per entry, in key order."""
     values = {}
-    for name, (dist, low, high) in space.items():
+    for name, (dist, low, high) in KINDS[kind].space.items():
         if dist == "int":
             values[name] = int(rng.integers(low, high + 1))
         elif dist == "log":
@@ -171,7 +169,7 @@ def tune_filter(
     take = min(n_samples, len(dataset))
     subset_idx = rng.choice(len(dataset), size=take, replace=False)
     subset = [dataset[i] for i in subset_idx]
-    trials = [_sample_params(kind, DEFAULT_SEARCH_SPACES[kind], rng) for _ in range(n_trials)]
+    trials = [_sample_params(kind, rng) for _ in range(n_trials)]
     stack, is_rain = _stack(subset, trials)
 
     best_params = None

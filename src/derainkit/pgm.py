@@ -115,22 +115,20 @@ def project_to_pgm(cloud: PointCloud, calib: SensorCalibration) -> PolarGridMap:
     intensity_g = np.zeros((v, h))
     ranges_g = np.zeros((v, h))
 
-    if cloud.count:
-        ranges, azimuths, elevations = to_polar(cloud.coords)
-        ei = nearest_angle_index(elevations, calib.elevations)
-        ai = nearest_angle_index(azimuths, calib.azimuths)
-        flat = ei * h + ai
-        # Write points in descending range order so the nearest return in a
-        # cell is the one that survives.
-        order = np.argsort(-ranges, kind="stable")
-        coords_g.reshape(-1, 3)[flat[order]] = cloud.coords[order]
-        intensity_g.reshape(-1)[flat[order]] = cloud.intensity[order]
-        ranges_g.reshape(-1)[flat[order]] = ranges[order]
+    ranges, azimuths, elevations = to_polar(cloud.coords)
+    ei = nearest_angle_index(elevations, calib.elevations)
+    ai = nearest_angle_index(azimuths, calib.azimuths)
+    flat = ei * h + ai
+    # Write points in descending range order so the nearest return in a
+    # cell is the one that survives.
+    order = np.argsort(-ranges, kind="stable")
+    coords_g.reshape(-1, 3)[flat[order]] = cloud.coords[order]
+    intensity_g.reshape(-1)[flat[order]] = cloud.intensity[order]
+    ranges_g.reshape(-1)[flat[order]] = ranges[order]
 
     unreturned = ranges_g == 0.0
-    if unreturned.any():
-        ranges_g[unreturned] = calib.r_max
-        coords_g[unreturned] = beam_directions(calib)[unreturned] * calib.r_max
+    ranges_g[unreturned] = calib.r_max
+    coords_g[unreturned] = beam_directions(calib)[unreturned] * calib.r_max
     return PolarGridMap(coords_g, intensity_g, ranges_g, unreturned)
 
 

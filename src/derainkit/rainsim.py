@@ -19,8 +19,8 @@ O(V*H) whatever r_max is.
 Each beam's hit range is distributed exactly as in the drop-field model, also
 where neighbouring beam cones overlap. What the per-beam model gives up is
 one drop hitting two neighbouring beams: hits on different beams are
-independent. sample_drop_field, intersect_beam and the RainDrop / DropField
-types keep the explicit drop-field model as the reference that the per-beam
+independent. sample_drop_field, the DropField it returns and intersect_beam
+keep the explicit drop-field model as the reference that the per-beam
 sampler is tested against.
 """
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .errors import (
     DegenerateBoundsError,
     InvalidInputError,
     NonPositiveRateError,
+    TooLargeError,
 )
 from .pgm import PolarGridMap, beam_directions
 
@@ -72,12 +73,6 @@ class RainConfig:
         if not 0 <= self.rain_reflectance <= 1:
             raise InvalidInputError("rain_reflectance must lie in [0, 1]")
         check_seed(self.seed)
-
-
-@dataclass(frozen=True)
-class RainDrop:
-    center: np.ndarray  # m
-    diameter: float  # mm
 
 
 class DropField:
@@ -153,9 +148,11 @@ def diameter_cdf(diameters, config: RainConfig):
 def sample_drop_field(config: RainConfig, bounds) -> DropField:
     """Poisson-sample raindrops uniformly inside an axis-aligned box.
 
-    bounds is a (min_corner, max_corner) pair in meters. Drop count is
-    Poisson(concentration * volume); diameters come from the truncated
-    exponential via inverse CDF. Fully determined by config.seed.
+    bounds is a (min_corner, max_corner) pair in meters, both corners finite
+    and max >= min on each axis (else DegenerateBoundsError). Drop count is
+    Poisson(concentration * volume), a box whose count numpy cannot draw is a
+    TooLargeError; diameters come from the truncated exponential via inverse
+    CDF. Fully determined by config.seed.
 
     Bit-identical to drawing ``rng.uniform(lo, hi, (count, 3))`` and
     ``rng.uniform(0, 1, count)`` and then ``-np.log(e_lo - u * (e_lo - e_hi)) / lam``:
@@ -163,13 +160,15 @@ def sample_drop_field(config: RainConfig, bounds) -> DropField:
     """
     lo = np.asarray(bounds[0], dtype=np.float64).reshape(3)
     hi = np.asarray(bounds[1], dtype=np.float64).reshape(3)
-    if np.any(hi < lo):
-        raise DegenerateBoundsError("bounds max corner below min corner")
-    volume = float(np.prod(hi - lo))
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all() and (hi >= lo).all()):
+        raise DegenerateBoundsError("bounds need finite corners, max corner >= min corner")
+    # np.prod's left-to-right product, on Python floats: overflow gives inf, not a warning.
+    volume = math.prod(b - a for a, b in zip(lo.tolist(), hi.tolist()))
     rng = np.random.default_rng(config.seed)
-    count = int(rng.poisson(expected_drop_concentration(config) * volume)) if volume > 0 else 0
-    if count == 0:
-        return DropField(np.empty((0, 3)), np.empty(0))
+    try:
+        count = int(rng.poisson(expected_drop_concentration(config) * volume))
+    except ValueError as exc:  # an expected count of inf, nan or past numpy's largest draw
+        raise TooLargeError(f"cannot draw a drop count for a box of volume {volume} m^3") from exc
     centers = rng.random((count, 3))
     centers *= hi - lo
     centers += lo
@@ -184,21 +183,23 @@ def sample_drop_field(config: RainConfig, bounds) -> DropField:
     return DropField(centers, diameters)
 
 
-def intersect_beam(origin, direction, drop: RainDrop, divergence: float):
-    """Range at which a (possibly diverging) beam hits a drop, or None.
+def intersect_beam(origin, direction, center, diameter: float, divergence: float):
+    """Range at which a (possibly diverging) beam hits one drop, or None.
 
-    The beam hits if the drop center projects forward of the origin and its
-    perpendicular distance to the ray is within drop radius plus the beam
-    footprint t * tan(divergence).
+    The drop has its center in m and its diameter in mm, one row of a
+    ``DropField``. The beam hits if the center projects forward of the origin
+    and its perpendicular distance to the ray is within the drop radius plus
+    the beam footprint t * tan(divergence). This is the drop-by-drop oracle of
+    the per-beam injector.
     """
     origin = np.asarray(origin, dtype=np.float64).reshape(3)
     direction = np.asarray(direction, dtype=np.float64).reshape(3)
-    rel = drop.center - origin
+    rel = np.asarray(center, dtype=np.float64).reshape(3) - origin
     t = float(rel @ direction)
     if t <= 0:
         return None
     perp = np.linalg.norm(rel - t * direction)
-    radius_m = drop.diameter / 2000.0  # mm diameter -> m radius
+    radius_m = diameter / 2000.0  # mm diameter -> m radius
     if perp <= radius_m + t * np.tan(divergence):
         return t
     return None

@@ -502,3 +502,81 @@ def test_deeply_nested_filter_json_exits_one(tmp_path, capsys):
     assert code == 1
     assert capsys.readouterr().err == "error: schema error at /: nested too deeply\n"
     assert not (tmp_path / "keep.mask").exists()
+
+
+# ---------------------------------------------------------------- flags and inputs no other test sets
+
+def test_eval_needs_one_label_file_per_mask(tmp_path, capsys):
+    mask, labels = tmp_path / "keep.mask", tmp_path / "gt.label"
+    mask.write_bytes(fileio.write_mask(np.ones(3, bool)))
+    labels.write_bytes(fileio.write_labels(LabelSet([2, 0, 1])))
+    assert run(["eval", "--pred", str(mask), "--pred", str(mask), "--gt", str(labels)]) == 1
+    assert capsys.readouterr().err == "error: 2 prediction masks vs 1 label files\n"
+
+
+def test_tune_and_bench_skip_unpaired_clouds_and_need_one_pair(tmp_path, capsys):
+    """A .bin without its .label is skipped; a missing directory, or one with no pair, exits 1."""
+    json_inputs(tmp_path)
+    filters = tmp_path / "filters.json"
+    filters.write_text(json.dumps([{"name": "ror", "params": json.loads(
+        fileio.write_filter_params_json(DEFAULT_PARAMS["ror"]))}]))
+
+    def outputs(data):
+        """tune's params JSON and bench's rows without the time column, or exit codes."""
+        got = []
+        for argv in (["tune", "--data", str(data), "--kind", "sor", "--trials", "3"],
+                     ["bench", "--data", str(data), "--filters", str(filters)]):
+            code = run(argv)
+            out, err = capsys.readouterr()
+            got.append([line.rsplit(",", 1)[0] for line in out.splitlines()] if code == 0
+                       else (code, err))
+        return got
+
+    paired = outputs(tmp_path / "data")
+    (tmp_path / "data" / "b.bin").write_bytes((tmp_path / "in.bin").read_bytes())
+    assert outputs(tmp_path / "data") == paired
+    lone = tmp_path / "lone"
+    lone.mkdir()
+    (lone / "b.bin").write_bytes((tmp_path / "in.bin").read_bytes())
+    missing = tmp_path / "missing"
+    assert outputs(missing) == [(1, f"error: no such dataset directory: {missing}\n")] * 2
+    assert outputs(lone) == [(1, f"error: no .bin/.label pairs under {lone}\n")] * 2
+
+
+def test_simulate_prefix_names_the_files_only(tmp_path):
+    plain = file_hashes(simulate(tmp_path, "plain"))
+    prefixed = file_hashes(simulate(tmp_path, "prefixed", extra=("--prefix", "run7_")))
+    assert prefixed == {f"run7_{name}": digest for name, digest in plain.items()}
+
+
+def test_simulate_no_occlusion_is_the_library_chain(tmp_path):
+    out = simulate(tmp_path, "sim", extra=("--no-occlusion",))
+    calib = grid_calibration(**cli.DEFAULT_CALIBRATION)
+    grid, labels = cli.raycast_scene(builtin_scene("minimal"), calib, noise_sigma=0.01,
+                                     seed=stage_seed(7, "raycast"))
+    rainy, rainy_labels = cli.inject_rain(grid, labels, calib,
+                                          cli.RainConfig(rate=10.0, seed=stage_seed(7, "rain")),
+                                          occlude_returns=False)
+    assert (out / "rainy.bin").read_bytes() == fileio.write_cloud(cli.flatten(rainy)[0])
+    assert (out / "rainy.label").read_bytes() == fileio.write_labels(rainy_labels)
+    occluded = simulate(tmp_path, "occluded")
+    assert (out / "rainy.label").read_bytes() != (occluded / "rainy.label").read_bytes()
+
+
+def test_annotate_ransac_flags_are_the_library_config(tmp_path):
+    """On this rainy cloud either flag alone, set back to its default, changes the labels."""
+    out = simulate(tmp_path, "sim", extra=("--returned-only",))
+    ann = annotation_scene_from_spec(builtin_scene("minimal"), sensor_height=2.0)
+    (tmp_path / "ann.json").write_text(fileio.write_annotation_json(ann))
+    assert run(["annotate", "--in", str(out / "rainy.bin"), "--scene", str(tmp_path / "ann.json"),
+                "--seed", "3", "--iterations", "2", "--threshold", "0.001",
+                "--out", str(tmp_path / "auto.label")]) == 0
+    cloud = fileio.read_cloud((out / "rainy.bin").read_bytes())
+
+    def labels(iterations, threshold):
+        config = cli.RansacConfig(iterations, threshold, seed=stage_seed(3, "ransac"))
+        return fileio.write_labels(cli.auto_annotate(cloud, ann, config))
+
+    want = labels(2, 0.001)
+    assert (tmp_path / "auto.label").read_bytes() == want
+    assert labels(200, 0.001) != want and labels(2, 0.05) != want

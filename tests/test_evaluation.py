@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.spatial
@@ -21,10 +23,11 @@ from derainkit import (
 from derainkit.core import RAIN, empty_cloud
 from derainkit.errors import (
     EmptyDatasetError,
+    EmptySearchSpaceError,
     LengthMismatchError,
     TooFewPointsError,
 )
-from derainkit.evaluation import DEFAULT_PARAMS, DEFAULT_SEARCH_SPACES, _sample_params, pooled_f1
+from derainkit.evaluation import DEFAULT_PARAMS, _sample_params, pooled_f1
 from derainkit import filters
 
 
@@ -127,6 +130,13 @@ def test_benchmark_empty_dataset():
         benchmark_run([], [("dsor", DEFAULT_PARAMS["dsor"])])
 
 
+def test_tune_empty_dataset_and_unknown_kind():
+    with pytest.raises(EmptyDatasetError):
+        tune_filter("dsor", [])
+    with pytest.raises(EmptySearchSpaceError, match="unknown filter kind 'lior'"):
+        tune_filter("lior", pairs(rain_dataset(1)))
+
+
 def test_benchmark_times_each_filter_from_scratch(monkeypatch):
     """A filter's timed run reuses no statistics that an earlier filter gathered."""
     cached = []
@@ -191,7 +201,7 @@ def test_one_tree_per_cloud_across_tuning_and_benchmark(monkeypatch):
     monkeypatch.setattr(scipy.spatial, "cKDTree", counting_tree)
     dataset = rain_dataset(3, seed=4) + [(empty_cloud(), LabelSet([]), "heavy")]
     dataset += rain_dataset(2, seed=5, tag="light")
-    for kind in DEFAULT_SEARCH_SPACES:
+    for kind in filters.KINDS:
         tune_filter(kind, pairs(dataset), n_samples=4, n_trials=5, seed=3)
     benchmark_run(dataset, list(DEFAULT_PARAMS.items()))
     clouds = [cloud for cloud, _, _ in dataset if cloud.count]
@@ -218,10 +228,12 @@ def test_defaults_and_search_spaces_pinned():
         "dror": Dror(alpha=0.01, beta=3.0, k_min=3, sr_min=0.04),
         "dsor": Dsor(k=5, s=1.0, r=0.05),
     }
-    assert DEFAULT_SEARCH_SPACES == spaces and DEFAULT_PARAMS == defaults
-    assert list(DEFAULT_SEARCH_SPACES) == list(spaces) == list(DEFAULT_PARAMS)
+    kinds = filters.KINDS
+    assert {kind: cls.space for kind, cls in kinds.items()} == spaces
+    assert DEFAULT_PARAMS == defaults
+    assert list(kinds) == list(spaces) == list(DEFAULT_PARAMS)
     for kind, space in spaces.items():
-        assert list(DEFAULT_SEARCH_SPACES[kind]) == list(space)
+        assert list(kinds[kind].space) == list(space)
 
 
 def test_tune_single_trial_returns_candidate():
@@ -315,10 +327,45 @@ def test_shared_indexes_change_no_trial(kind):
     subset = [data[i] for i in rng.choice(len(data), size=n_samples, replace=False)]
     best = (None, -1.0)
     for _ in range(n_trials):
-        trial = _sample_params(kind, DEFAULT_SEARCH_SPACES[kind], rng)
+        trial = _sample_params(kind, rng)
         score = pooled_f1(subset, trial)
         fresh = [(PointCloud(cloud.coords, cloud.intensity), labels) for cloud, labels in subset]
         assert pooled_f1(fresh, trial) == score
         if score > best[1]:
             best = (trial, score)
     assert (params, f1) == best
+
+
+# SHA-256 of the filter path's outputs below, computed when pinned; see the test.
+FILTER_PATH_SHA256 = "03c0ef617f0f36238e6ddab2868b471c04f7081c2780f0d7d2468b0dc5fe8f97"
+
+
+def test_filter_path_outputs_are_pinned():
+    """apply_filter masks of every kind on clouds of 0 to 30 points, tune_filter's pick for
+    every kind at seeds 0-2 and benchmark_run's metrics, all on rain_dataset clouds, keep
+    the SHA-256 they had when pinned: a change that moves one output bit fails here."""
+    data = rain_dataset(4, seed=13) + rain_dataset(2, seed=14, tag="light")
+    digest = hashlib.sha256()
+    rng = np.random.default_rng(0)
+    for cloud, _, _ in data[:2]:
+        for n in (0, 1, 2, 5, 8, 17, 30):
+            pick = rng.choice(cloud.count, size=n, replace=False)
+            part = PointCloud(cloud.coords[pick], cloud.intensity[pick])
+            for kind, params in DEFAULT_PARAMS.items():
+                if n == 0 and params.rule == "mean":
+                    continue
+                digest.update(f"{kind}/{n}:".encode())
+                try:
+                    digest.update(filters.apply_filter(part, params).tobytes())
+                except TooFewPointsError:
+                    digest.update(b"TooFewPointsError")
+    for kind in DEFAULT_PARAMS:
+        for seed in range(3):
+            params, f1 = tune_filter(kind, pairs(data), n_samples=4, n_trials=12, seed=seed)
+            digest.update(f"{params!r} {f1.hex()}".encode())
+    for row in benchmark_run(data, list(DEFAULT_PARAMS.items())):
+        report = row.report
+        digest.update(" ".join([row.filter_name, row.rain_density, report.precision.hex(),
+                                report.recall.hex(), report.f1.hex(),
+                                report.rain_iou.hex()]).encode())
+    assert digest.hexdigest() == FILTER_PATH_SHA256

@@ -383,6 +383,13 @@ def test_results_csv_rejects_metrics_out_of_range(cells):
         MetricReport(*(p / 100 for p in percents), wall_time_ms=time_ms)
 
 
+def test_results_csv_row_of_six_cells_is_schema_error():
+    header = ",".join(fileio.RESULTS_COLUMNS)
+    with pytest.raises(SchemaError) as err:
+        fileio.read_results_csv(f"{header}\ndsor,heavy,50.00,50.00,50.00,33.33\n")
+    assert err.value.path == "/row/0"
+
+
 def test_results_csv_bad_header():
     with pytest.raises(SchemaError):
         fileio.read_results_csv("bogus,header\n")

@@ -5,7 +5,6 @@ from scipy.spatial import cKDTree
 
 from derainkit import (
     RainConfig,
-    RainDrop,
     SensorCalibration,
     builtin_scene,
     expected_drop_concentration,
@@ -16,7 +15,12 @@ from derainkit import (
     sample_drop_field,
 )
 from derainkit.core import RAIN
-from derainkit.errors import DegenerateBoundsError, InvalidInputError, NonPositiveRateError
+from derainkit.errors import (
+    DegenerateBoundsError,
+    InvalidInputError,
+    NonPositiveRateError,
+    TooLargeError,
+)
 from derainkit.pgm import beam_directions
 from derainkit.rainsim import beam_field_bounds, cumulative_hazard, diameter_cdf, drop_moments
 
@@ -89,6 +93,28 @@ def test_sample_degenerate_bounds_error():
         sample_drop_field(RainConfig(rate=10), ([1, 0, 0], [0, 1, 1]))
 
 
+@pytest.mark.parametrize("bounds", [
+    ([0, np.nan, 0], [1, 1, 1]),  # a NaN side is no zero-volume box
+    ([0, 0, 0], [1, np.inf, 1]),
+    ([-np.inf, 0, 0], [1, 1, 1]),
+])
+def test_sample_non_finite_corner_is_degenerate(bounds):
+    with pytest.raises(DegenerateBoundsError):
+        sample_drop_field(RainConfig(rate=10), bounds)
+
+
+@pytest.mark.parametrize("bounds", [
+    ([0, 0, 0], [1e200] * 3),  # the volume overflows to inf
+    ([-1e308] * 3, [1e308] * 3),  # so does each side
+    ([-1e308, 0, 0], [1e308, 0, 1]),  # an infinite side times a zero one: nan
+    ([0, 0, 0], [1e6] * 3),  # finite, but past the largest count numpy draws
+])
+def test_sample_box_too_large_to_draw(bounds):
+    # warnings are errors in this suite: the volume is formed without an overflow warning
+    with pytest.raises(TooLargeError):
+        sample_drop_field(RainConfig(rate=10), bounds)
+
+
 def test_sample_deterministic():
     config = RainConfig(rate=25, seed=42)
     bounds = ([0, 0, 0], [2, 2, 2])
@@ -151,21 +177,19 @@ def test_diameter_distribution_ks():
 
 
 def test_intersect_beam_on_axis():
-    drop = RainDrop(np.array([0.0, 0.0, 7.0]), 2.0)
-    assert intersect_beam([0, 0, 0], [0, 0, 1], drop, 1e-3) == pytest.approx(7.0)
+    assert intersect_beam([0, 0, 0], [0, 0, 1], np.array([0.0, 0.0, 7.0]), 2.0,
+                          1e-3) == pytest.approx(7.0)
 
 
 def test_intersect_beam_behind_origin():
-    drop = RainDrop(np.array([0.0, 0.0, -3.0]), 2.0)
-    assert intersect_beam([0, 0, 0], [0, 0, 1], drop, 1e-3) is None
+    assert intersect_beam([0, 0, 0], [0, 0, 1], np.array([0.0, 0.0, -3.0]), 2.0, 1e-3) is None
 
 
 def test_intersect_beam_off_axis_arithmetic():
     # 5 mm off axis at t = 2 m; radius 1 mm + footprint 2 mm = 3 mm < 5 mm
-    drop = RainDrop(np.array([2.0, 0.005, 0.0]), 2.0)
-    assert intersect_beam([0, 0, 0], [1, 0, 0], drop, 1e-3) is None
-    close = RainDrop(np.array([2.0, 0.0025, 0.0]), 2.0)
-    assert intersect_beam([0, 0, 0], [1, 0, 0], close, 1e-3) == pytest.approx(2.0)
+    assert intersect_beam([0, 0, 0], [1, 0, 0], np.array([2.0, 0.005, 0.0]), 2.0, 1e-3) is None
+    close = np.array([2.0, 0.0025, 0.0])
+    assert intersect_beam([0, 0, 0], [1, 0, 0], close, 2.0, 1e-3) == pytest.approx(2.0)
 
 
 def rainy_setup(rate=25.0, seed=0, v=12, h=32, r_max=10.0):
@@ -312,7 +336,7 @@ def test_oracle_matches_intersect_beam():
     limits = beam_limits(grid, calib)
     for b, d in enumerate(dirs):
         ts = [t for c, dia in zip(field.centers, field.diameters)
-              if (t := intersect_beam([0, 0, 0], d, RainDrop(c, float(dia)),
+              if (t := intersect_beam([0, 0, 0], d, c, float(dia),
                                       config.beam_divergence)) is not None
               and calib.r_min <= t < limits[b]]
         assert first[b] == (min(ts) if ts else np.inf)
