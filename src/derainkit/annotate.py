@@ -175,7 +175,7 @@ def auto_annotate(
     return LabelSet(np.select(rules, [box.class_id for box in boxes] + [RAIN, ROAD], BACKGROUND))
 
 
-def _check_transfer(src_cloud: PointCloud, src_labels: LabelSet, dst_cloud: PointCloud) -> None:
+def _check_transfer(src_cloud: PointCloud, src_labels: LabelSet) -> None:
     if src_cloud.count == 0:
         raise EmptySourceError("source cloud is empty")
     src_labels.check_count(src_cloud.count, "source points")
@@ -202,7 +202,7 @@ def transfer_labels(src_cloud: PointCloud, src_labels: LabelSet,
     that oracle bit for bit.
     """
     from scipy.spatial import cKDTree  # here, not at module level: it is slow to import
-    _check_transfer(src_cloud, src_labels, dst_cloud)
+    _check_transfer(src_cloud, src_labels)
     src, dst = src_cloud.coords, dst_cloud.coords
     # Unbalanced sliding-midpoint splits and uncompacted boxes: points far off the source
     # (rain in the air over a scanned surface) prune well; the answers do not change.
@@ -218,5 +218,5 @@ def transfer_labels(src_cloud: PointCloud, src_labels: LabelSet,
 def brute_force_transfer(src_cloud: PointCloud, src_labels: LabelSet,
                          dst_cloud: PointCloud) -> LabelSet:
     """Exhaustive O(N * M) oracle for ``transfer_labels`` with the same contract."""
-    _check_transfer(src_cloud, src_labels, dst_cloud)
+    _check_transfer(src_cloud, src_labels)
     return LabelSet(src_labels.labels[_argmin_nearest(dst_cloud.coords, src_cloud.coords)])

@@ -191,7 +191,7 @@ class SensorCalibration:
         elev, azim = self.elevations, self.azimuths
         if not (np.all(np.diff(elev) > 0) and np.all(np.abs(elev) < np.pi / 2)):
             raise InvalidInputError("elevations must be strictly ascending within (-pi/2, pi/2)")
-        if azim.size and not (np.all(np.diff(azim) > 0) and -np.pi <= azim[0] and azim[-1] < np.pi):
+        if not (np.all(np.diff(azim) > 0) and np.all((-np.pi <= azim) & (azim < np.pi))):
             raise InvalidInputError("azimuths must be strictly ascending within [-pi, pi)")
         if not 0 < self.r_max < math.inf:
             raise InvalidInputError("r_max must be positive and finite")

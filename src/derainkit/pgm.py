@@ -34,14 +34,6 @@ class PolarGridMap:
     def __post_init__(self):
         store_fields(self, unreturned=_check_bool)
 
-    @property
-    def v(self) -> int:
-        return self.ranges.shape[0]
-
-    @property
-    def h(self) -> int:
-        return self.ranges.shape[1]
-
 
 def _check_bool(unreturned: np.ndarray) -> None:
     if unreturned.dtype != bool:

@@ -10,7 +10,8 @@ Poisson process in range with cumulative hazard from r_min
     Lambda(t) = pi * [M2*(t - r_min) + M1*tan(theta)*(t^2 - r_min^2)
                       + M0*tan(theta)^2*(t^3 - r_min^3)/3],
 
-where M_p is the integral of n(D) * (D/2000)^p over [d_min, d_max]. The
+where M_p is the integral of n(D) * (D/2000)^p over [d_min, d_max].
+cumulative_hazard(r_min, config) returns this Lambda as a function of range. The
 injector samples each beam's first hit directly from Lambda (inverse-transform
 sampling, as per-beam particle sampling in Hahner et al., "LiDAR Snowfall
 Simulation for Robust 3D Object Detection", CVPR 2022), so its cost is
@@ -115,8 +116,10 @@ def expected_drop_concentration(config: RainConfig) -> float:
     return drop_moments(config)[0]
 
 
-def _hazard(r_min: float, config: RainConfig):
-    """Lambda(t) as a function of range, with its coefficients computed once."""
+def cumulative_hazard(r_min: float, config: RainConfig):
+    """Lambda of the module docstring as a function of range, the same for every beam:
+    the expected number of drops hitting one beam between r_min and each range. Its
+    coefficients are computed once, here."""
     m0, m1, m2 = drop_moments(config)
     tan = math.tan(config.beam_divergence)
     a, b = m0 * tan * tan / 3, m1 * tan
@@ -126,14 +129,6 @@ def _hazard(r_min: float, config: RainConfig):
 
     at_r_min = from_origin(r_min)
     return lambda ranges: from_origin(np.asarray(ranges, dtype=np.float64)) - at_r_min
-
-
-def cumulative_hazard(ranges, r_min: float, config: RainConfig):
-    """Expected number of drops hitting one beam between r_min and each range.
-
-    This is Lambda(t) of the module docstring; it is the same for every beam.
-    """
-    return _hazard(r_min, config)(ranges)
 
 
 def diameter_cdf(diameters, config: RainConfig):
@@ -206,10 +201,11 @@ def intersect_beam(origin, direction, center, diameter: float, divergence: float
 
 
 def beam_field_bounds(calib: SensorCalibration) -> tuple[np.ndarray, np.ndarray]:
-    """Axis-aligned box covering the sensor origin and all beam tips at r_max."""
+    """Axis-aligned box covering the sensor origin and all beam tips at r_max; a
+    calibration with no beams gives the zero box at the origin."""
     tips = beam_directions(calib).reshape(-1, 3) * calib.r_max
-    lo = np.minimum(tips.min(axis=0), 0.0)
-    hi = np.maximum(tips.max(axis=0), 0.0)
+    lo = np.minimum(tips.min(axis=0, initial=np.inf), 0.0)
+    hi = np.maximum(tips.max(axis=0, initial=-np.inf), 0.0)
     return lo, hi
 
 
@@ -230,13 +226,13 @@ def inject_rain(
     label 2 (rain), rain_reflectance intensity and coordinates on the beam
     axis; every other cell is copied unchanged. Deterministic for fixed inputs.
     """
-    v, h = pgm.v, pgm.h
-    labels.check_count(v * h, "grid cells")
+    cells = pgm.ranges.size
+    labels.check_count(cells, "grid cells")
 
     limits = np.where(pgm.unreturned, calib.r_max, pgm.ranges if occlude_returns else -np.inf)
     limits = np.maximum(limits.reshape(-1), calib.r_min)
-    draws = np.random.Generator(np.random.Philox(key=config.seed)).standard_exponential(v * h)
-    hazard = _hazard(calib.r_min, config)
+    draws = np.random.Generator(np.random.Philox(key=config.seed)).standard_exponential(cells)
+    hazard = cumulative_hazard(calib.r_min, config)
     idx = np.flatnonzero(draws < hazard(limits))
 
     # Lambda is increasing, so bisection keeps Lambda(lo) <= E < Lambda(hi);

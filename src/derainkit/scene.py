@@ -247,27 +247,25 @@ def raycast_scene(
     t_ground = -(spec.ground_normal @ origin + spec.ground_offset) / denom
     t_ground = np.where(t_ground > 0, t_ground, np.inf)
 
-    best_t = t_ground.copy()
-    best_label = np.full(m, -1, dtype=np.int32)  # -1 = ground, resolved below
-    best_refl = np.full(m, spec.ground_reflectance)
-    for box in spec.boxes:
+    # first[b] is the surface beam b meets first: 0 the ground, i the box spec.boxes[i - 1].
+    # The strict < keeps the earlier surface on a tie: the ground, then the lower box index.
+    best_t = t_ground
+    first = np.zeros(m, dtype=np.intp)
+    for i, box in enumerate(spec.boxes, 1):
         t_box = _ray_box_hits(origin, dirs, box)
         closer = t_box < best_t
         best_t = np.where(closer, t_box, best_t)
-        best_label[closer] = box.class_id
-        best_refl[closer] = box.reflectance
+        first[closer] = i
+    surface_labels = np.array([BACKGROUND, *(box.class_id for box in spec.boxes)])
+    surface_refl = np.array([spec.ground_reflectance, *(box.reflectance for box in spec.boxes)])
 
     returned = np.isfinite(best_t) & (best_t >= calib.r_min) & (best_t <= calib.r_max)
 
     # Ground hits become road only inside the road polygon.
-    ground_hit = returned & (best_label == -1)
-    labels = np.zeros(m, dtype=np.int32)
-    labels[returned] = np.where(best_label[returned] >= 0, best_label[returned], BACKGROUND)
-    if ground_hit.any():
-        hit_xy = origin[:2] + dirs[ground_hit, :2] * best_t[ground_hit, None]
-        in_road = points_in_polygon(hit_xy, spec.road_polygon)
-        ground_labels = np.where(in_road, ROAD, BACKGROUND)
-        labels[ground_hit] = ground_labels
+    ground_hit = returned & (first == 0)
+    labels = np.where(returned, surface_labels[first], BACKGROUND)
+    hit_xy = origin[:2] + dirs[ground_hit, :2] * best_t[ground_hit, None]
+    labels[ground_hit] = np.where(points_in_polygon(hit_xy, spec.road_polygon), ROAD, BACKGROUND)
 
     ranges = np.where(returned, best_t, calib.r_max)
     if noise_sigma > 0:
@@ -276,7 +274,7 @@ def raycast_scene(
         ranges = np.where(returned, np.clip(ranges + noise, calib.r_min, calib.r_max), ranges)
 
     coords = dirs * ranges[:, None]
-    intensity = np.where(returned, best_refl, 0.0)
+    intensity = np.where(returned, surface_refl[first], 0.0)
     grid = PolarGridMap(
         coords.reshape(v, h, 3),
         intensity.reshape(v, h),

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -14,15 +16,16 @@ from derainkit import (
     raycast_scene,
     sample_drop_field,
 )
-from derainkit.core import RAIN
+from derainkit.core import RAIN, PointCloud, grid_calibration
 from derainkit.errors import (
     DegenerateBoundsError,
     InvalidInputError,
     NonPositiveRateError,
     TooLargeError,
 )
-from derainkit.pgm import beam_directions
+from derainkit.pgm import beam_directions, flatten, project_to_pgm
 from derainkit.rainsim import beam_field_bounds, cumulative_hazard, diameter_cdf, drop_moments
+from derainkit.scene import BUILTIN_SCENE_NAMES
 
 
 def test_lambda_values():
@@ -274,8 +277,8 @@ def first_hit_cdf(ranges, limits, r_min, config):
 
     Uniform(0, 1) for the first drop hit on beam b conditioned on one before L_b.
     """
-    hit = cumulative_hazard(ranges, r_min, config)
-    return -np.expm1(-hit) / -np.expm1(-cumulative_hazard(limits, r_min, config))
+    hazard = cumulative_hazard(r_min, config)
+    return -np.expm1(-hazard(ranges)) / -np.expm1(-hazard(limits))
 
 
 def hit_cdf_values(rainy, rlabels, grid, calib, config):
@@ -286,8 +289,7 @@ def hit_cdf_values(rainy, rlabels, grid, calib, config):
 
 
 def expected_rained(grid, calib, config):
-    return float(-np.expm1(-cumulative_hazard(beam_limits(grid, calib), calib.r_min,
-                                              config)).sum())
+    return float(-np.expm1(-cumulative_hazard(calib.r_min, config)(beam_limits(grid, calib))).sum())
 
 
 def oracle_first_hits(grid, calib, config):
@@ -393,8 +395,9 @@ def test_hazard_matches_drop_field_quadrature():
 
     numeric, _ = integrate.dblquad(cross_section, r_min, limit, config.d_min, config.d_max,
                                    epsabs=0, epsrel=1e-10)
-    assert cumulative_hazard(limit, r_min, config) == pytest.approx(numeric, rel=1e-8)
-    assert cumulative_hazard(r_min, r_min, config) == 0.0
+    hazard = cumulative_hazard(r_min, config)
+    assert hazard(limit) == pytest.approx(numeric, rel=1e-8)
+    assert hazard(r_min) == 0.0
     for p, moment in enumerate(drop_moments(config)):
         numeric, _ = integrate.quad(lambda d: config.n0 * np.exp(-lam * d) * (d / 2000.0) ** p,
                                     config.d_min, config.d_max, epsabs=0, epsrel=1e-12)
@@ -414,7 +417,7 @@ def test_inject_single_beam_calibration():
             ranges.append(rainy.ranges[0, 0])
             assert np.allclose(rainy.coords[0, 0], beam_directions(calib)[0, 0] * ranges[-1])
     ranges = np.array(ranges)
-    reach = cumulative_hazard(limit, calib.r_min, RainConfig(rate=50.0))
+    reach = cumulative_hazard(calib.r_min, RainConfig(rate=50.0))(limit)
     assert len(ranges) / 1000 == pytest.approx(-np.expm1(-reach), abs=0.03)
     assert ((ranges >= calib.r_min) & (ranges < limit)).all()
 
@@ -435,3 +438,56 @@ def test_inject_zero_min_range():
     assert np.mean(counts) == pytest.approx(expected_rained(grid, calib, RainConfig(rate=50.0)),
                                             rel=0.05)
     assert stats.kstest(np.concatenate(cdf_values), "uniform").statistic < 0.03
+
+
+@pytest.mark.parametrize("elevations, azimuths", [([], [-0.5, 0.0, 0.5]), ([-0.2, 0.0], [])])
+def test_beam_field_bounds_of_no_beams_is_the_origin(elevations, azimuths):
+    lo, hi = beam_field_bounds(SensorCalibration(elevations, azimuths, r_max=10.0))
+    assert lo.tobytes() == hi.tobytes() == np.zeros(3).tobytes()
+    assert len(sample_drop_field(RainConfig(rate=50.0), (lo, hi))) == 0
+
+
+def test_beam_field_bounds_give_the_origin_positive_zeros():
+    # the one beam's tip is (10, -0.0, -0.0); the box corners take the origin's +0.0
+    lo, hi = beam_field_bounds(SensorCalibration([-0.0], [-0.0], r_max=10.0))
+    assert lo.tobytes() == np.zeros(3).tobytes()
+    assert hi.tobytes() == np.array([10.0, 0.0, 0.0]).tobytes()
+
+
+# SHA-256 of the simulation path's outputs below, computed when pinned; see the test.
+SIMULATION_PATH_SHA256 = "ae8e8d1e4ad5b2922a15fdae6bd610f046492bdf0ee60a1b717997594b454f25"
+
+
+def test_simulation_path_outputs_are_pinned():
+    """raycast_scene on every builtin scene and five grids, inject_rain at two rates with
+    and without occlusion, flatten, project_to_pgm of the returned points and
+    cumulative_hazard keep the SHA-256 they had when pinned, dtypes and shapes included:
+    a change that moves one output bit fails here."""
+    digest = hashlib.sha256()
+
+    def update(*arrays):
+        for array in arrays:
+            digest.update(f"{array.dtype}{array.shape}".encode())
+            digest.update(array.tobytes())
+
+    for v, h, r_max in ((16, 64, 8.0), (32, 128, 15.0), (64, 512, 6.0), (1, 1, 5.0), (3, 1, 4.0)):
+        calib = grid_calibration(v, h, r_max=r_max)
+        for name in BUILTIN_SCENE_NAMES:
+            for noise, seed in ((0.0, 0), (0.01, 1)):
+                grid, labels = raycast_scene(builtin_scene(name), calib, noise, seed)
+                update(grid.coords, grid.intensity, grid.ranges, grid.unreturned, labels.labels)
+                for rate in (10.0, 50.0):
+                    for occlude in (True, False):
+                        rainy, rlabels = inject_rain(grid, labels, calib,
+                                                     RainConfig(rate=rate, seed=seed), occlude)
+                        cloud, unreturned = flatten(rainy)
+                        returned = PointCloud(cloud.coords[~unreturned],
+                                              cloud.intensity[~unreturned])
+                        pgm = project_to_pgm(returned, calib)
+                        update(rainy.coords, rainy.intensity, rainy.ranges, rainy.unreturned,
+                               rlabels.labels, cloud.coords, cloud.intensity, unreturned,
+                               pgm.coords, pgm.intensity, pgm.ranges, pgm.unreturned)
+    for rate in (10.0, 50.0):
+        update(cumulative_hazard(0.5, RainConfig(rate=rate, beam_divergence=3e-3))(
+            np.linspace(0.0, 40.0, 81)))
+    assert digest.hexdigest() == SIMULATION_PATH_SHA256

@@ -75,6 +75,19 @@ def test_box_occludes_ground():
     assert grid.ranges[0, 0] == pytest.approx(expected, rel=1e-9)
 
 
+def test_tie_keeps_the_earlier_box():
+    # Two boxes of the same geometry: every beam meets both at the same range.
+    boxes = [OrientedBox((10.0, 0.0, 1.0), (0.5, 4.0, 1.0), 0.0, class_id, refl)
+             for class_id, refl in ((3, 0.5), (4, 0.9))]
+    calib = single_beam_calib(-np.arcsin(2.0 / 40.0))
+    for first, second in (boxes, boxes[::-1]):
+        spec = SceneSpec((0, 0, 1), 0.0, (first, second),
+                         [(-20, -20), (20, -20), (20, 20), (-20, 20)])
+        grid, labels = raycast_scene(spec, calib)
+        assert labels.labels[0] == first.class_id
+        assert grid.intensity[0, 0] == first.reflectance
+
+
 def test_zero_noise_is_seed_independent():
     calib = SensorCalibration(np.linspace(-0.4, 0.0, 8), np.linspace(-0.5, 0.5, 16),
                               r_max=30.0, sensor_height=2.0)
