@@ -75,26 +75,31 @@ def _cmd_scene(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    """Each grid is written as soon as it exists, and the clean one is let go before the
+    rainy one is flattened, so at most two grids are live at once."""
     spec = _load_scene(args.scene)
     calib = _load_calibration(args.calib)
+    config = RainConfig(rate=args.rate, seed=stage_seed(args.seed, "rain"))
     grid, labels = raycast_scene(
         spec, calib, noise_sigma=args.noise_sigma, seed=stage_seed(args.seed, "raycast")
     )
-    config = RainConfig(rate=args.rate, seed=stage_seed(args.seed, "rain"))
-    rainy_grid, rainy_labels = inject_rain(
-        grid, labels, calib, config, occlude_returns=not args.no_occlusion
-    )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    for tag, g, l in (("clean", grid, labels), ("rainy", rainy_grid, rainy_labels)):
-        cloud, unreturned = flatten(g)
-        if args.returned_only:
-            keep = ~unreturned
-            cloud = type(cloud)(cloud.coords[keep], cloud.intensity[keep])
-            l = LabelSet(l.labels[keep])
-        (out / f"{args.prefix}{tag}.bin").write_bytes(fileio.write_cloud(cloud))
-        (out / f"{args.prefix}{tag}.label").write_bytes(fileio.write_labels(l))
+    _write_scan(args, out, "clean", grid, labels)
+    rainy = inject_rain(grid, labels, calib, config, occlude_returns=not args.no_occlusion)
+    del grid, labels
+    _write_scan(args, out, "rainy", *rainy)
     return 0
+
+
+def _write_scan(args, out: Path, tag: str, grid, labels: LabelSet) -> None:
+    cloud, unreturned = flatten(grid)
+    if args.returned_only:
+        keep = ~unreturned
+        cloud = type(cloud)(cloud.coords[keep], cloud.intensity[keep])
+        labels = LabelSet(labels.labels[keep])
+    (out / f"{args.prefix}{tag}.bin").write_bytes(fileio.write_cloud(cloud))
+    (out / f"{args.prefix}{tag}.label").write_bytes(fileio.write_labels(labels))
 
 
 def _cmd_derain(args) -> int:

@@ -4,7 +4,8 @@ All types are plain immutable values built on numpy arrays, each checked once,
 by its constructor; a bad point or label raises a typed error naming its index.
 Every checked type stores its arrays through ``store_fields``: read-only copies
 in the shape and dtype each field declares, so a value that constructs stays
-valid. Operations here are pure; nothing mutates its inputs.
+valid; arrays the package allocates itself are handed over (``HandedOver``), not
+copied. Operations here are pure; nothing mutates its inputs.
 """
 from __future__ import annotations
 
@@ -56,14 +57,26 @@ def read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
+class HandedOver:
+    """An array the package has just allocated and holds no other reference to, handed
+    to a checked type: ``store_fields`` makes it read-only and keeps it, in place of a
+    copy. Package-internal; an array given by a caller is always copied."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+
 def store_fields(value, **checks) -> None:
     """Store each field of the frozen dataclass ``value`` as its metadata declares: a
     ``shape`` field as a read-only copy in that shape and its ``dtype`` (float64 by
-    default), an ``item`` field as a tuple. A shape axis named by a string takes its
-    size from the first field that names it, and a shape with named axes is matched
-    exactly, not reshaped to. A keyword names a field and a check that sees the array
-    as given, before the dtype cast. An array that cannot take the field's shape, or
-    that numpy cannot compare or cast, raises ``FieldError``."""
+    default), an ``item`` field as a tuple. A field given as ``HandedOver`` keeps its
+    array, made read-only, unless the dtype must change. A shape axis named by a
+    string takes its size from the first field that names it, and a shape with named
+    axes is matched exactly, not reshaped to. A keyword names a field and a check that
+    sees the array as given, before the dtype cast. An array that cannot take the
+    field's shape, or that numpy cannot compare or cast, raises ``FieldError``."""
     sizes = {}
     # Widening a float32 signalling NaN sets the invalid flag; the value's checks name it.
     with np.errstate(invalid="ignore"):
@@ -72,7 +85,9 @@ def store_fields(value, **checks) -> None:
                 object.__setattr__(value, f.name, tuple(getattr(value, f.name)))
             elif "shape" in f.metadata:
                 try:
-                    given = np.asarray(getattr(value, f.name))
+                    given = getattr(value, f.name)
+                    handed = isinstance(given, HandedOver)
+                    given = read_only(given.array) if handed else np.asarray(given)
                     declared = shape = f.metadata["shape"]
                     if any(isinstance(axis, str) for axis in declared):
                         shape = tuple(sizes.setdefault(axis, n) if isinstance(axis, str) else axis
@@ -83,7 +98,7 @@ def store_fields(value, **checks) -> None:
                     given = given.reshape(shape)
                     if f.name in checks:
                         checks[f.name](given)
-                    array = given.astype(f.metadata.get("dtype", np.float64))
+                    array = given.astype(f.metadata.get("dtype", np.float64), copy=not handed)
                 except DerainKitError:
                     raise
                 except (TypeError, ValueError) as exc:

@@ -23,7 +23,8 @@ from .errors import EmptyCalibrationError, EmptyTableError, FieldError, OriginPo
 class PolarGridMap:
     """Dense beam grid: coords (V,H,3), intensity (V,H), ranges (V,H), bool unreturned (V,H).
 
-    Stores read-only copies; arrays of other shapes, or a non-bool mask, raise ``FieldError``.
+    Stores read-only copies (arrays handed over by the package are kept, made read-only:
+    ``core.HandedOver``); arrays of other shapes, or a non-bool mask, raise ``FieldError``.
     """
 
     coords: np.ndarray = field(metadata={"shape": ("v", "h", 3)})
@@ -136,5 +137,33 @@ def flatten(pgm: PolarGridMap) -> tuple[PointCloud, np.ndarray]:
 
 def beam_directions(calib: SensorCalibration) -> np.ndarray:
     """Unit direction of every beam as a (V, H, 3) array."""
-    az_full, el_full = np.meshgrid(calib.azimuths, calib.elevations)
-    return to_euclidean(np.ones_like(az_full), az_full, el_full)
+    return directions_of(calib, np.arange(calib.v * calib.h)).reshape(calib.v, calib.h, 3)
+
+
+def directions_of(calib: SensorCalibration, beams: np.ndarray) -> np.ndarray:
+    """(n, 3) unit directions of the beams with the given row-major (flat) indices:
+    ``to_euclidean`` at range 1, cos(el)·cos(az), cos(el)·sin(az), sin(el), from the
+    sines and cosines of the angle tables."""
+    el, az = np.divmod(beams, calib.h)
+    cos_el = np.cos(calib.elevations)[el]
+    out = np.empty((len(beams), 3))
+    np.multiply(cos_el, np.cos(calib.azimuths)[az], out=out[:, 0])
+    np.multiply(cos_el, np.sin(calib.azimuths)[az], out=out[:, 1])
+    np.take(np.sin(calib.elevations), el, out=out[:, 2])
+    return out
+
+
+BEAM_BLOCK = 4096
+"""Beams per block of the simulation path (``raycast_scene``, ``inject_rain``): their
+temporaries scale with it, not with the grid. At least 2 (see ``beam_blocks``)."""
+
+
+def beam_blocks(count: int) -> list[slice]:
+    """Consecutive slices of ``BEAM_BLOCK`` beams covering ``range(count)``, at least
+    one. A lone tail beam joins the block before it, so no block is one row when
+    count >= 2: a one-row ``dirs @ normal`` or ``dirs @ rot.T`` takes another path
+    than a longer one and rounds differently."""
+    starts = list(range(0, count, BEAM_BLOCK)) or [0]
+    if len(starts) > 1 and count - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, [*starts[1:], count])]

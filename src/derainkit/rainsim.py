@@ -31,14 +31,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RAIN, LabelSet, SensorCalibration, check_seed
+from .core import RAIN, HandedOver, LabelSet, SensorCalibration, check_seed
 from .errors import (
     DegenerateBoundsError,
     InvalidInputError,
     NonPositiveRateError,
     TooLargeError,
 )
-from .pgm import PolarGridMap, beam_directions
+from .pgm import PolarGridMap, beam_blocks, beam_directions, directions_of
 
 MP_N0_DEFAULT = 8000.0  # m^-3 mm^-1
 
@@ -225,38 +225,61 @@ def inject_rain(
     at the range t in [r_min, L) solving Lambda(t) = E. A rain return gets
     label 2 (rain), rain_reflectance intensity and coordinates on the beam
     axis; every other cell is copied unchanged. Deterministic for fixed inputs.
+
+    The rained test runs ``pgm.BEAM_BLOCK`` beams at a time (``pgm.beam_blocks``),
+    drawing each block's E in turn from the one stream, so its temporaries scale
+    with the block. The bisection for t then runs once, over the rained beams only,
+    and their coordinates are written a block of rained beams at a time. Every
+    output is the same for any block size.
     """
-    cells = pgm.ranges.size
-    labels.check_count(cells, "grid cells")
-
-    limits = np.where(pgm.unreturned, calib.r_max, pgm.ranges if occlude_returns else -np.inf)
-    limits = np.maximum(limits.reshape(-1), calib.r_min)
-    draws = np.random.Generator(np.random.Philox(key=config.seed)).standard_exponential(cells)
-    hazard = cumulative_hazard(calib.r_min, config)
-    idx = np.flatnonzero(draws < hazard(limits))
-
-    # Lambda is increasing, so bisection keeps Lambda(lo) <= E < Lambda(hi);
-    # 60 halvings shrink [r_min, L) below double precision.
-    target = draws[idx]
-    lo = np.full(idx.size, float(calib.r_min))
-    hi = limits[idx]
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        below = hazard(mid) <= target
-        np.copyto(lo, mid, where=below)
-        np.copyto(hi, mid, where=~below)
+    labels.check_count(pgm.ranges.size, "grid cells")
+    idx, hit_ranges = _first_drop_hits(pgm, calib, config, occlude_returns)
 
     new_coords = pgm.coords.copy()
     new_intensity = pgm.intensity.copy()
     new_ranges = pgm.ranges.copy()
     new_unreturned = pgm.unreturned.copy()
     new_labels = labels.labels.copy()
-    new_coords.reshape(-1, 3)[idx] = beam_directions(calib).reshape(-1, 3)[idx] * lo[:, None]
+    flat_coords = new_coords.reshape(-1, 3)
+    for part in beam_blocks(idx.size):
+        flat_coords[idx[part]] = directions_of(calib, idx[part]) * hit_ranges[part, None]
     new_intensity.reshape(-1)[idx] = config.rain_reflectance
-    new_ranges.reshape(-1)[idx] = lo
+    new_ranges.reshape(-1)[idx] = hit_ranges
     new_unreturned.reshape(-1)[idx] = False
     new_labels[idx] = RAIN
     return (
-        PolarGridMap(new_coords, new_intensity, new_ranges, new_unreturned),
-        LabelSet(new_labels),
+        PolarGridMap(*map(HandedOver, (new_coords, new_intensity, new_ranges, new_unreturned))),
+        LabelSet(HandedOver(new_labels)),
     )
+
+
+def _first_drop_hits(pgm: PolarGridMap, calib: SensorCalibration, config: RainConfig,
+                     occlude_returns: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The flat indices of the rained beams, ascending, and the range of each one's
+    first drop: ``inject_rain``'s draws and bisection. Only arrays sized by a block or
+    by the rained beams are made."""
+    rng = np.random.Generator(np.random.Philox(key=config.seed))
+    hazard = cumulative_hazard(calib.r_min, config)
+    flat_ranges, flat_unreturned = pgm.ranges.reshape(-1), pgm.unreturned.reshape(-1)
+    rained, targets, limits = [], [], []
+    for rows in beam_blocks(flat_ranges.size):
+        returned_limit = flat_ranges[rows] if occlude_returns else -np.inf
+        limit = np.maximum(np.where(flat_unreturned[rows], calib.r_max, returned_limit),
+                           calib.r_min)
+        draws = rng.standard_exponential(limit.size)
+        hit = np.flatnonzero(draws < hazard(limit))
+        rained.append(hit + rows.start)
+        targets.append(draws[hit])
+        limits.append(limit[hit])
+    idx, target, hi = map(np.concatenate, (rained, targets, limits))
+    del rained, targets, limits  # the block pieces are not kept through the bisection
+
+    # Lambda is increasing, so bisection keeps Lambda(lo) <= E < Lambda(hi);
+    # 60 halvings shrink [r_min, L) below double precision.
+    lo = np.full(idx.size, float(calib.r_min))
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        below = hazard(mid) <= target
+        np.copyto(lo, mid, where=below)
+        np.copyto(hi, mid, where=~below)
+    return idx, lo

@@ -28,6 +28,7 @@ from .core import (
     ROAD,
     SPRINKLER,
     TARGETS,
+    HandedOver,
     LabelSet,
     SensorCalibration,
     check_seed,
@@ -36,7 +37,7 @@ from .core import (
     store_fields,
 )
 from .errors import DegeneratePolygonError, InvalidSpecError, UnknownSceneError
-from .pgm import PolarGridMap, beam_directions
+from .pgm import PolarGridMap, beam_blocks, directions_of
 
 
 @dataclass(frozen=True)
@@ -184,13 +185,15 @@ def _ray_box_hits(origin: np.ndarray, dirs: np.ndarray, box: OrientedBox) -> np.
 
     The slab bounds fold the three columns with ``np.maximum``/``np.minimum``,
     bit-identical to ``.max(axis=1)``/``.min(axis=1)`` and far cheaper on (M, 3).
+    The (M, 3) temporaries are reused in place, so at most three are live.
     """
     o = box.to_box_frame(origin - box.center)
     d = box.to_box_frame(dirs)
-    d = np.where(np.abs(d) < 1e-300, 1e-300, d)
+    d[np.abs(d) < 1e-300] = 1e-300
     t1 = (-box.half_extents - o) / d
-    t2 = (box.half_extents - o) / d
-    near, far = np.minimum(t1, t2).T, np.maximum(t1, t2).T
+    t2 = np.divide(box.half_extents - o, d, out=d)
+    near = np.minimum(t1, t2).T
+    far = np.maximum(t1, t2, out=t1).T
     t_near = np.maximum(np.maximum(near[0], near[1]), near[2])
     t_far = np.minimum(np.minimum(far[0], far[1]), far[2])
     hit = (t_far >= t_near) & (t_far > 0)
@@ -232,53 +235,70 @@ def raycast_scene(
     (length V*H). Range noise is zero-mean Gaussian along the ray, drawn from
     a counter-based generator so results are schedule-independent;
     noise_sigma must be non-negative and finite, seed as ``check_seed`` requires.
+
+    Beams are cast ``pgm.BEAM_BLOCK`` at a time (``pgm.beam_blocks``), each block
+    written into the preallocated outputs, so the temporaries scale with the block,
+    not the grid. No block is one row when the grid has two beams or more: a one-row
+    ground denominator ``dirs @ normal`` or box frame ``dirs @ rot.T`` takes another
+    path than a longer block and rounds differently. The noise is one draw over the
+    whole grid, sliced per block, so every output is the same for any block size.
     """
     if not 0 <= noise_sigma < math.inf:  # NaN fails it
         raise InvalidSpecError("noise_sigma must be non-negative and finite")
     check_seed(seed)
     v, h = calib.v, calib.h
+    m = v * h
     origin = np.array([0.0, 0.0, calib.sensor_height])
-    dirs = beam_directions(calib).reshape(-1, 3)
-    m = dirs.shape[0]
-
-    # Ground plane: normal . p + offset = 0 in world coordinates.
-    denom = dirs @ spec.ground_normal
-    denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
-    t_ground = -(spec.ground_normal @ origin + spec.ground_offset) / denom
-    t_ground = np.where(t_ground > 0, t_ground, np.inf)
-
-    # first[b] is the surface beam b meets first: 0 the ground, i the box spec.boxes[i - 1].
-    # The strict < keeps the earlier surface on a tie: the ground, then the lower box index.
-    best_t = t_ground
-    first = np.zeros(m, dtype=np.intp)
-    for i, box in enumerate(spec.boxes, 1):
-        t_box = _ray_box_hits(origin, dirs, box)
-        closer = t_box < best_t
-        best_t = np.where(closer, t_box, best_t)
-        first[closer] = i
     surface_labels = np.array([BACKGROUND, *(box.class_id for box in spec.boxes)])
     surface_refl = np.array([spec.ground_reflectance, *(box.reflectance for box in spec.boxes)])
+    # Ground plane: normal . p + offset = 0 in world coordinates.
+    ground_height = spec.ground_normal @ origin + spec.ground_offset
 
-    returned = np.isfinite(best_t) & (best_t >= calib.r_min) & (best_t <= calib.r_max)
-
-    # Ground hits become road only inside the road polygon.
-    ground_hit = returned & (first == 0)
-    labels = np.where(returned, surface_labels[first], BACKGROUND)
-    hit_xy = origin[:2] + dirs[ground_hit, :2] * best_t[ground_hit, None]
-    labels[ground_hit] = np.where(points_in_polygon(hit_xy, spec.road_polygon), ROAD, BACKGROUND)
-
-    ranges = np.where(returned, best_t, calib.r_max)
+    coords = np.empty((m, 3))
+    intensity = np.empty(m)
+    unreturned = np.empty(m, dtype=bool)
+    labels = np.empty(m, dtype=np.int32)
+    # Each block reads its slice of the noise before writing its ranges over it.
     if noise_sigma > 0:
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        noise = rng.normal(0.0, noise_sigma, m)
-        ranges = np.where(returned, np.clip(ranges + noise, calib.r_min, calib.r_max), ranges)
+        ranges = np.random.Generator(np.random.Philox(key=seed)).normal(0.0, noise_sigma, m)
+    else:
+        ranges = np.empty(m)
+    for rows in beam_blocks(m):
+        dirs = coords[rows]  # the unit directions, scaled to the ranges last
+        dirs[...] = directions_of(calib, np.arange(rows.start, rows.stop))
+        best_t = dirs @ spec.ground_normal  # the ground denominator, then the ground's range
+        best_t[np.abs(best_t) < 1e-300] = 1e-300
+        np.divide(-ground_height, best_t, out=best_t)
+        best_t[~(best_t > 0)] = np.inf
 
-    coords = dirs * ranges[:, None]
-    intensity = np.where(returned, surface_refl[first], 0.0)
-    grid = PolarGridMap(
-        coords.reshape(v, h, 3),
-        intensity.reshape(v, h),
-        ranges.reshape(v, h),
-        (~returned).reshape(v, h),
-    )
-    return grid, LabelSet(labels)
+        # first[b] is the surface beam b meets first: 0 the ground, i the box spec.boxes[i - 1].
+        # The strict < keeps the earlier surface on a tie: the ground, then the lower box index.
+        first = np.zeros(len(dirs), dtype=np.intp)
+        for i, box in enumerate(spec.boxes, 1):
+            t_box = _ray_box_hits(origin, dirs, box)
+            closer = t_box < best_t
+            np.copyto(best_t, t_box, where=closer)
+            first[closer] = i
+
+        returned = np.isfinite(best_t) & (best_t >= calib.r_min) & (best_t <= calib.r_max)
+        np.logical_not(returned, out=unreturned[rows])
+
+        # Ground hits become road only inside the road polygon.
+        ground_hit = returned & (first == 0)
+        block_labels = labels[rows]
+        block_labels[...] = np.where(returned, surface_labels[first], BACKGROUND)
+        hit_xy = origin[:2] + dirs[ground_hit, :2] * best_t[ground_hit, None]
+        block_labels[ground_hit] = np.where(
+            points_in_polygon(hit_xy, spec.road_polygon), ROAD, BACKGROUND)
+
+        block_ranges = np.where(returned, best_t, calib.r_max)
+        if noise_sigma > 0:
+            noisy = np.clip(block_ranges + ranges[rows], calib.r_min, calib.r_max)
+            np.copyto(block_ranges, noisy, where=returned)
+        ranges[rows] = block_ranges
+        dirs *= block_ranges[:, None]
+        intensity[rows] = np.where(returned, surface_refl[first], 0.0)
+
+    grid = (coords.reshape(v, h, 3), intensity.reshape(v, h), ranges.reshape(v, h),
+            unreturned.reshape(v, h))
+    return PolarGridMap(*map(HandedOver, grid)), LabelSet(HandedOver(labels))

@@ -1,13 +1,16 @@
 """Memory gates: the exhaustive oracles and the kNN table build allocate a few blocks, not
-n x n x 3 temporaries or n x k x 3 recomputes, and a SOR/DSOR filter holds one table, not a
-second k x n table of sums (``tracemalloc`` sees numpy's buffers)."""
+n x n x 3 temporaries or n x k x 3 recomputes, a SOR/DSOR filter holds one table, not a
+second k x n table of sums, and the simulation path's temporaries scale with a block of
+beams, not the grid (``tracemalloc`` sees numpy's buffers)."""
 import tracemalloc
 
 import numpy as np
+import pytest
 
-from derainkit import LabelSet, PointCloud
+from derainkit import LabelSet, PointCloud, RainConfig, grid_calibration, inject_rain
 from derainkit.annotate import brute_force_transfer
 from derainkit.filters import Dsor, Ror, SpatialIndex, apply_filter, brute_force_mask
+from derainkit.scene import builtin_scene, raycast_scene
 
 MB = 1 << 20
 
@@ -60,3 +63,23 @@ def test_dsor_filter_allocates_the_table_and_at_most_8_mb_more():
     table = 30 * 50_000 * 8
     assert keep.shape == (50_000,)
     assert peak <= table + 8 * MB, f"{(peak - table) / MB:.1f} MB over the table"
+
+
+# (V, H, r_max): raycast_scene's and inject_rain's B/beam bounds. 64x512 is eight blocks of
+# beams, where whole-grid temporaries peaked at 218 and 154 B/beam; 32x128 is one block,
+# which may allocate no more than the whole-grid code did (219 and 169 B/beam). The grid's
+# four arrays and the labels are 45 B/beam of each peak.
+SIMULATION_BOUNDS = {(64, 512, 6.0): (130, 110), (32, 128, 15.0): (219, 169)}
+
+
+@pytest.mark.parametrize("grid", SIMULATION_BOUNDS, ids=lambda g: f"{g[0]}x{g[1]}")
+def test_simulation_peaks_per_beam(grid):
+    v, h, r_max = grid
+    calib = grid_calibration(v, h, r_max=r_max, elevation_span=(-0.42, 0.03),
+                             azimuth_span=(-0.7, 0.7))
+    spec, config = builtin_scene("rehearse-like"), RainConfig(rate=25.0, seed=2)
+    raycast_bound, inject_bound = SIMULATION_BOUNDS[grid]
+    (clean, labels), peak = peak_of(lambda: raycast_scene(spec, calib, 0.01, seed=1))
+    assert peak / (v * h) <= raycast_bound, f"raycast_scene: {peak / (v * h):.0f} B/beam"
+    _, peak = peak_of(lambda: inject_rain(clean, labels, calib, config))
+    assert peak / (v * h) <= inject_bound, f"inject_rain: {peak / (v * h):.0f} B/beam"

@@ -5,10 +5,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from derainkit import CAR, LabelSet, PointCloud, PolarGridMap, SensorCalibration, fileio
+from derainkit import (CAR, LabelSet, PointCloud, PolarGridMap, RainConfig, SensorCalibration,
+                       fileio, grid_calibration, inject_rain)
 from derainkit.annotate import AnnotationScene, PlaneModel
+from derainkit.core import HandedOver
 from derainkit.errors import DerainKitError, FieldError
-from derainkit.scene import OrientedBox, SceneSpec
+from derainkit.scene import OrientedBox, SceneSpec, builtin_scene, raycast_scene
 
 SQUARE = np.array([(0.0, 0.0), (4.0, 0.0), (4.0, 4.0), (0.0, 4.0)])
 
@@ -62,6 +64,37 @@ def test_checked_values_keep_read_only_copies(name):
             build(given)  # the write above is one the constructor rejects
         write, read = codec
         np.testing.assert_array_equal(getattr(read(write(value)), field), before)
+
+
+def test_grids_copy_the_callers_arrays_and_keep_the_packages_own():
+    """A ``PolarGridMap`` built from the caller's arrays copies each one, so a later write
+    into them changes nothing; arrays the package hands over (``core.HandedOver``) are
+    kept, not copied, and made read-only, as raycast_scene's and inject_rain's are."""
+    def arrays():
+        return [np.ones((2, 3, 3)), np.full((2, 3), 0.5), np.ones((2, 3)), np.zeros((2, 3), bool)]
+
+    fields = ("coords", "intensity", "ranges", "unreturned")
+    given, before = arrays(), arrays()
+    grid = PolarGridMap(*given)
+    for array, expected, name in zip(given, before, fields):
+        stored = getattr(grid, name)
+        assert not np.shares_memory(array, stored) and array.flags.writeable
+        array[0, 0] = 0
+        np.testing.assert_array_equal(stored, expected)
+    handed = arrays()
+    grid = PolarGridMap(*map(HandedOver, handed))
+    for array, name in zip(handed, fields):
+        assert np.shares_memory(array, getattr(grid, name)) and not array.flags.writeable
+    calib = grid_calibration(3, 5, r_max=10.0)
+    clean, labels = raycast_scene(builtin_scene("rehearse-like"), calib, 0.01, seed=1)
+    rainy, rainy_labels = inject_rain(clean, labels, calib, RainConfig(rate=50.0, seed=1))
+    for value in (clean, rainy):
+        for name in fields:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(value, name)[0, 0] = 0
+    for value in (labels, rainy_labels):
+        with pytest.raises(ValueError, match="read-only"):
+            value.labels[0] = 0
 
 
 @pytest.mark.parametrize("cls", [PointCloud, LabelSet, SensorCalibration, OrientedBox,
