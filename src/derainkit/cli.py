@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import fileio
 from .annotate import RansacConfig, auto_annotate, transfer_labels
-from .core import LabelSet, grid_calibration
+from .core import HandedOver, LabelSet, grid_calibration
 from .errors import DerainKitError
 from .evaluation import ConfusionCounts, BenchmarkRow, benchmark_run, confusion, derive_metrics, tune_filter
 from .filters import KINDS, apply_filter
@@ -96,8 +96,8 @@ def _write_scan(args, out: Path, tag: str, grid, labels: LabelSet) -> None:
     cloud, unreturned = flatten(grid)
     if args.returned_only:
         keep = ~unreturned
-        cloud = type(cloud)(cloud.coords[keep], cloud.intensity[keep])
-        labels = LabelSet(labels.labels[keep])
+        cloud = type(cloud)(HandedOver(cloud.coords[keep]), HandedOver(cloud.intensity[keep]))
+        labels = LabelSet(HandedOver(labels.labels[keep]))
     (out / f"{args.prefix}{tag}.bin").write_bytes(fileio.write_cloud(cloud))
     (out / f"{args.prefix}{tag}.label").write_bytes(fileio.write_labels(labels))
 
@@ -109,7 +109,7 @@ def _cmd_derain(args) -> int:
     if args.mask:
         Path(args.mask).write_bytes(fileio.write_mask(keep))
     if args.out:
-        filtered = type(cloud)(cloud.coords[keep], cloud.intensity[keep])
+        filtered = type(cloud)(HandedOver(cloud.coords[keep]), HandedOver(cloud.intensity[keep]))
         Path(args.out).write_bytes(fileio.write_cloud(filtered))
     return 0
 

@@ -259,8 +259,9 @@ class CloudStack:
     index of more than k points. ``keep`` gathers once per (rule, count) and
     keeps for the stack's life ``stats[(rule, m)] = (statistic, mean, std)``:
     the order rule's column m - 1 of every table, None, None (8 * sum(n) bytes
-    per m); the mean rule's d of every index, with each row's cloud mean and
-    std of d (3 * 8 * sum(n) bytes per k).
+    per m); the mean rule's d of every index, with each cloud's mean and std of
+    d, one value per cloud (8 * sum(n) bytes plus two floats per cloud per k),
+    which ``keep`` repeats to rows for one call only.
     """
 
     def __init__(self, indexes, params):
@@ -282,14 +283,17 @@ class CloudStack:
         if key not in self.stats:
             self.stats[key] = self._gather(*key)
         statistic, mean, std = self.stats[key]
+        if mean is not None:
+            mean, std = np.repeat(mean, self.sizes), np.repeat(std, self.sizes)
         return statistic <= params.bound(self.ranges, mean, std)
 
     def _gather(self, rule: str, m: int):
-        """The rule's (statistic, mean, std) over all rows for count m."""
+        """The rule's statistic over all rows for count m, with the mean rule's mean and std
+        of d per cloud (None for the order rule)."""
         if rule == "mean":
             stats = [index.knn_means(m) for index in self.indexes]
             d, mean, std = zip(*stats) if stats else ((), (), ())
-            return _concat(d), np.repeat(mean, self.sizes), np.repeat(std, self.sizes)
+            return _concat(d), np.array(mean, float), np.array(std, float)
         # m = 0 reads zeros, within every order-rule bound: every row is kept. A cloud of
         # at most m points gets nan, never <= a bound (even inf): it keeps none.
         return _concat([np.zeros(n) if m == 0 else
@@ -313,18 +317,22 @@ def squared_distance_blocks(rows: np.ndarray, points: np.ndarray):
 
     Each entry is ``(dx*dx + dy*dy) + dz*dz``, the sum ``(diff ** 2).sum(axis=2)``
     forms over the differences row - point, so the exhaustive oracles keep their
-    arithmetic bit for bit while their memory stays a few blocks.
+    arithmetic bit for bit while their memory stays two blocks: each yielded block
+    is one buffer, which the caller may overwrite and the next block refills, and
+    one difference buffer is reused for every axis of every block.
     """
     step = max(1, ORACLE_BLOCK // max(1, len(points)))
+    squares, diff = (np.empty((min(step, len(rows)), len(points))) for _ in range(2))
     for start in range(0, len(rows), step):
         block = rows[start:start + step]
-        squares = block[:, 0, None] - points[:, 0]
-        squares *= squares
+        out, scratch = squares[:len(block)], diff[:len(block)]
+        np.subtract(block[:, 0, None], points[:, 0], out=out)
+        out *= out
         for axis in (1, 2):
-            diff = block[:, axis, None] - points[:, axis]
-            diff *= diff
-            squares += diff
-        yield start, squares
+            np.subtract(block[:, axis, None], points[:, axis], out=scratch)
+            scratch *= scratch
+            out += scratch
+        yield start, out
 
 
 def brute_force_mask(cloud: PointCloud, params: FilterParams) -> np.ndarray:
@@ -348,13 +356,17 @@ def brute_force_mask(cloud: PointCloud, params: FilterParams) -> np.ndarray:
         raise TooFewPointsError(f"need at least {m + 1} points, have {n}")
     # Per point: ROR/DROR's count of neighbors within the bound, SOR/DSOR's prefix mean d.
     stat = np.empty(n)
-    columns = np.arange(n)
-    for start, squares in squared_distance_blocks(cloud.coords, cloud.coords):
-        rows = slice(start, start + len(squares))
-        # Self-exclusion: drop the diagonal, leaving each point's n - 1 neighbor distances.
-        dist = np.sqrt(squares)[columns != columns[rows, None]].reshape(len(squares), n - 1)
-        stat[rows] = ((dist <= bound[rows]).sum(axis=1) if radius
-                      else np.cumsum(np.sort(dist, axis=1)[:, :m], axis=1)[:, -1] / m)
+    for start, dist in squared_distance_blocks(cloud.coords, cloud.coords):
+        block = slice(start, start + len(dist))
+        np.sqrt(dist, out=dist)
+        # Self-exclusion: nan on the diagonal is within no bound and sorts after the
+        # point's n - 1 neighbor distances.
+        np.fill_diagonal(dist[:, start:], np.nan)
+        if radius:
+            stat[block] = (dist <= bound[block]).sum(axis=1)
+        else:
+            dist.sort(axis=1)
+            stat[block] = np.cumsum(dist[:, :m], axis=1)[:, -1] / m
     if radius:
         return stat >= m
     return stat <= params.bound(ranges, stat.mean(), stat.std())

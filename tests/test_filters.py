@@ -188,11 +188,12 @@ def test_stack_mean_and_std_are_numpys_per_cloud():
         stack = CloudStack([c.index for c in clouds], [Sor(k, 1.0)])
         stack.keep(Sor(k, 1.0))
         d, mean, std = stack.stats[("mean", k)]
+        assert mean.shape == std.shape == (len(sizes),)
         ends = np.cumsum(sizes)
-        for n, end in zip(sizes, ends):
+        for i, (n, end) in enumerate(zip(sizes, ends)):
             cloud_d = d[end - n:end].copy()
-            np.testing.assert_array_equal(mean[end - n:end], np.full(n, cloud_d.mean()))
-            np.testing.assert_array_equal(std[end - n:end], np.full(n, cloud_d.std()))
+            np.testing.assert_array_equal(mean[i], cloud_d.mean())
+            np.testing.assert_array_equal(std[i], cloud_d.std())
 
 
 def test_one_cloud_stack_leaves_index_tables_unchanged():

@@ -1,7 +1,8 @@
 """Memory gates: the exhaustive oracles and the kNN table build allocate a few blocks, not
 n x n x 3 temporaries or n x k x 3 recomputes, a SOR/DSOR filter holds one table, not a
-second k x n table of sums, and the simulation path's temporaries scale with a block of
-beams, not the grid (``tracemalloc`` sees numpy's buffers)."""
+second k x n table of sums, a stack keeps one statistic per row for each SOR k, and the
+simulation path's temporaries scale with a block of beams, not the grid (``tracemalloc``
+sees numpy's buffers)."""
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 
 from derainkit import LabelSet, PointCloud, RainConfig, grid_calibration, inject_rain
 from derainkit.annotate import brute_force_transfer
-from derainkit.filters import Dsor, Ror, SpatialIndex, apply_filter, brute_force_mask
+from derainkit.filters import (CloudStack, Dsor, Ror, Sor, SpatialIndex, apply_filter,
+                               brute_force_mask)
 from derainkit.scene import builtin_scene, raycast_scene
 
 MB = 1 << 20
@@ -46,6 +48,39 @@ def test_brute_force_transfer_peaks_below_16_mb():
     out, peak = peak_of(lambda: brute_force_transfer(src, labels, dst))
     assert out.count == 4000
     assert peak < 16 * MB, f"{peak / MB:.1f} MB"
+
+
+def test_brute_force_mask_holds_two_blocks():
+    """Two 1 MB blocks, the distances and one difference buffer, and little else."""
+    cloud = random_cloud(2000, 1)
+    for params in (Ror(1.0, 3), Dsor(10, 1.0, 0.05)):
+        _, peak = peak_of(lambda: brute_force_mask(cloud, params))
+        assert peak <= 3 * MB, f"{type(params).__name__}: {peak / MB:.2f} MB"
+
+
+def test_brute_force_transfer_holds_two_blocks():
+    src, dst = random_cloud(6000, 2), random_cloud(4000, 3)
+    labels = LabelSet(np.random.default_rng(4).integers(0, 8, 6000))
+    _, peak = peak_of(lambda: brute_force_transfer(src, labels, dst))
+    assert peak <= 3.4 * MB, f"{peak / MB:.2f} MB"
+
+
+def test_stack_keeps_8_bytes_per_row_for_each_sor_k():
+    """Each SOR k keeps its prefix means d (8 B/row) and two floats per cloud, not a mean
+    and std per row; one keep call's temporaries (the mean and std repeated to rows, the
+    bound's terms and the mask) add at most 48 B/row."""
+    clouds = [random_cloud(n, seed) for seed, n in enumerate((1500, 2500, 3500), 6)]
+    rows = sum(cloud.count for cloud in clouds)
+    params = [Sor(k, 1.0) for k in range(2, 12)]
+    stack = CloudStack([cloud.index for cloud in clouds], params)  # builds the tables and d's
+
+    def keep_all():
+        for p in params:
+            stack.keep(p)
+
+    _, peak = peak_of(keep_all)
+    assert len(stack.stats) == len(params)
+    assert peak <= (8 * len(params) + 48) * rows, f"{peak / rows:.1f} B/row"
 
 
 def test_knn_table_build_allocates_the_table_and_at_most_16_mb_more():
